@@ -20,16 +20,17 @@
 //! directly without per-host state.
 
 use crate::cluster::{ClusterConfig, ClusterReport, ControllerCluster, ControllerFaultPlan};
-use crate::config::{decode_delta, decode_paths, ConfigDelta};
+use crate::config::{ConfigDelta, EndpointConfig};
 use crate::controller::{Controller, ControllerConfig, ControllerError, IntervalReport};
-use crate::resilience::PullPolicy;
+use crate::resilience::{
+    InstallTarget, PullLadder, PullPolicy, PullRead, PullStep, RetryBudget, StalenessClock,
+};
 use megate_dataplane::{HostRegistry, WanNetwork};
 use megate_hoststack::{
     EndpointAgent, InstanceId, MapError, PathInstall, PathMapEntry, Pid, SimKernel,
 };
-use megate_obs::trace;
 use megate_packet::{FiveTuple, MegaTeFrameSpec, Proto};
-use megate_tedb::{Changelog, TeDatabase, TeKey};
+use megate_tedb::TeDatabase;
 use megate_topo::{EndpointCatalog, EndpointId, Graph, TunnelTable};
 use megate_traffic::DemandSet;
 use std::collections::HashMap;
@@ -93,7 +94,36 @@ struct Host {
     agent: EndpointAgent,
     /// Consecutive pull rounds this host has ended below the published
     /// version — the staleness clock behind the degrade TTL.
-    periods_behind: u64,
+    staleness: StalenessClock,
+}
+
+/// A catch-up plan lands in the host's `path_map` through its agent.
+impl InstallTarget for Host {
+    fn install_base(&mut self, stamp: u64, config: EndpointConfig) {
+        let instance = InstanceId(self.endpoint.0);
+        self.agent
+            .install_snapshot(stamp, instance, &config.to_installs(instance));
+    }
+
+    fn apply_delta(&mut self, version: u64, delta: &ConfigDelta) {
+        let instance = InstanceId(self.endpoint.0);
+        let changed: Vec<PathInstall> = delta
+            .changed
+            .iter()
+            .map(|(dst_ip, hops)| PathInstall {
+                instance,
+                dst_ip: *dst_ip,
+                hops: hops.clone(),
+            })
+            .collect();
+        let removed: Vec<(InstanceId, [u8; 4])> =
+            delta.removed.iter().map(|dst| (instance, *dst)).collect();
+        self.agent.apply_delta(version, &changed, &removed);
+    }
+
+    fn adopt(&mut self, version: u64) {
+        self.agent.install_config(version, &[]);
+    }
 }
 
 /// Outcome of one fleet-wide resilient pull round.
@@ -128,15 +158,14 @@ pub struct TrafficReport {
     pub per_demand_latency: Vec<Option<f64>>,
 }
 
-/// One partition's staleness bookkeeping in partitioned mode.
+/// One controller partition's version wire as the fleet last saw it.
 #[derive(Debug, Clone, Copy, Default)]
 struct PartitionClock {
-    /// Highest version ever observed on this partition's version wire.
+    /// Highest version ever observed on this partition's version wire —
+    /// the staleness anchor when the record itself becomes unreadable.
     last_target: u64,
-    /// Consecutive pull rounds the wire failed to advance — the
-    /// partition-liveness clock. A publisher going silent ages its
-    /// whole slice even for agents sitting at the last version.
-    stall: u64,
+    /// The wire failed to advance in the latest pull round.
+    stalled: bool,
 }
 
 /// The full MegaTE system over a simulated WAN.
@@ -151,18 +180,11 @@ pub struct MegaTeSystem {
     config: SystemConfig,
     /// Monotonic pull-round counter; salts the backoff jitter streams.
     pull_rounds: u64,
-    /// Highest version any round ever observed — the staleness anchor
-    /// when the version record itself becomes unreadable.
-    last_known_target: u64,
     /// The partitioned control plane, when built with
-    /// [`new_partitioned`](Self::new_partitioned). `None` keeps the
-    /// single-controller pull path byte-for-byte unchanged.
+    /// [`new_partitioned`](Self::new_partitioned). `None` is
+    /// single-controller mode: every host follows partition 0's clock.
     cluster: Option<ControllerCluster>,
-    /// Per-host owning partition (parallel to `hosts`); empty in
-    /// single-controller mode.
-    partition_of_host: Vec<u32>,
-    /// Per-partition version targets and stall clocks, indexed by
-    /// partition id; empty in single-controller mode.
+    /// Per-partition version clocks, indexed by partition id.
     partition_clocks: Vec<PartitionClock>,
 }
 
@@ -194,7 +216,7 @@ impl MegaTeSystem {
                 endpoint: ep,
                 kernel,
                 agent,
-                periods_behind: 0,
+                staleness: StalenessClock::default(),
             });
         }
         let controller = Controller::new(
@@ -205,13 +227,11 @@ impl MegaTeSystem {
             config.controller.clone(),
         );
         // Registered up front so metric presence doesn't depend on a
-        // fault having occurred.
+        // fault (or, for the per-path solve-to-install latencies, a
+        // pull) having occurred.
         megate_obs::counter("agent.retries");
         megate_obs::gauge("agent.degraded_endpoints");
         megate_obs::histogram("agent.reconverge_periods");
-        // Solve-to-install latency per pull path (ns): the version's
-        // solve-start stamp (trace::stamp_version_at in the controller)
-        // to the moment the agent's install of that version completed.
         megate_obs::histogram("propagation.latency.delta");
         megate_obs::histogram("propagation.latency.snapshot");
         megate_obs::histogram("propagation.latency.degraded");
@@ -225,10 +245,8 @@ impl MegaTeSystem {
             registry,
             config,
             pull_rounds: 0,
-            last_known_target: 0,
             cluster: None,
-            partition_of_host: Vec::new(),
-            partition_clocks: Vec::new(),
+            partition_clocks: vec![PartitionClock::default()],
         }
     }
 
@@ -256,7 +274,6 @@ impl MegaTeSystem {
             cluster,
         );
         sys.cluster = Some(cluster);
-        sys.refresh_partition_map();
         sys
     }
 
@@ -292,32 +309,21 @@ impl MegaTeSystem {
     }
 
     /// Applies one tick of a controller-fault plan (retrying pending
-    /// heals first) and refreshes the host→partition map if a split
-    /// changed the slicing. Panics unless the system was built with
+    /// heals first). Panics unless the system was built with
     /// [`new_partitioned`](Self::new_partitioned).
     pub fn apply_controller_tick(&mut self, plan: &ControllerFaultPlan, tick: u64) {
         self.cluster
             .as_mut()
             .expect("apply_controller_tick needs new_partitioned")
             .apply_tick(plan, tick);
-        if self.cluster.as_ref().unwrap().partition_count() as usize != self.partition_clocks.len()
-        {
-            self.refresh_partition_map();
-        }
     }
 
-    /// Recomputes each host's owning partition and sizes the partition
-    /// clocks to the current slicing. Existing clocks are preserved —
-    /// a split only appends a fresh clock for the new slice. Public so
-    /// harnesses that drive [`Self::cluster_mut`] directly (rather than
-    /// through a fault plan) can re-sync after a split.
+    /// Sizes the partition clocks to the cluster's current slicing.
+    /// Existing clocks are preserved — a split only appends a fresh
+    /// clock for the new slice. [`pull_round`](Self::pull_round) does
+    /// this itself; harnesses may call it right after a split.
     pub fn refresh_partition_map(&mut self) {
         let cluster = self.cluster.as_ref().expect("partitioned mode");
-        self.partition_of_host = self
-            .hosts
-            .iter()
-            .map(|h| cluster.partition_of_endpoint(h.endpoint))
-            .collect();
         self.partition_clocks.resize(
             cluster.partition_count() as usize,
             PartitionClock::default(),
@@ -380,280 +386,137 @@ impl MegaTeSystem {
         self.controller.run_interval(demands)
     }
 
-    /// Endpoint half of the TE cycle: every agent polls the version,
-    /// consults its changelog and pulls only the deltas it is missing
-    /// (Figure 4(b)); agents whose delta history was garbage-collected
-    /// fall back to the full snapshot and replay any newer deltas.
-    /// Returns how many agents advanced their installed version. (The
-    /// full resilient round — retries, staleness, degradation — is
-    /// [`pull_round`](Self::pull_round); this keeps the historic
-    /// return value.)
+    /// Endpoint half of the TE cycle (Figure 4(b)): one
+    /// [`pull_round`](Self::pull_round), returning how many agents
+    /// advanced their installed version.
     pub fn agents_pull(&mut self) -> usize {
         self.pull_round().updated
     }
 
-    /// One fleet-wide **resilient** pull round (one sync period).
+    /// One fleet-wide **resilient** pull round (one sync period): the
+    /// in-process driver of the shared §3.2 pull path
+    /// ([`crate::resilience`]).
     ///
-    /// Per agent: poll the version, pull missing configuration with
-    /// jittered exponential backoff between retries, charging backoff
-    /// delays *and* injected shard latency against the period's
-    /// deadline ([`PullPolicy`]); corrupted reads (failed transport
-    /// checksum) count as retryable failures. An agent that stays
-    /// below the published version for more than
-    /// `stale_ttl_periods` consecutive rounds **degrades** to
-    /// site-level/ECMP forwarding instead of steering on stale paths,
-    /// and recovers (clearing degradation) on its next successful pull.
-    pub fn pull_round(&mut self) -> PullRound {
-        if self.cluster.is_some() {
-            return self.pull_round_partitioned();
-        }
-        self.pull_rounds += 1;
-        let round = self.pull_rounds;
-        let _span = megate_obs::span("controller.agents_pull");
-        let policy = self.config.pull;
-        let retries_counter = megate_obs::counter("agent.retries");
-        let mut out = PullRound::default();
-
-        // Resilient version poll: a corrupted or unreachable version
-        // record is retried under its own backoff budget. If it stays
-        // unreadable, fall back to the last version ever observed —
-        // the fleet may still be able to read config records living on
-        // healthy shards, and the staleness clock must keep ticking.
-        let mut budget = policy.deadline_ns;
-        let mut polled = None;
-        for attempt in 0..policy.max_attempts {
-            if attempt > 0 {
-                let delay = policy.backoff.delay_ns(attempt - 1, policy.seed ^ round);
-                if delay > budget {
-                    break;
-                }
-                budget -= delay;
-                out.retries += 1;
-                retries_counter.inc();
-            }
-            match self.db.latest_version_checked() {
-                Ok(v) => {
-                    polled = v;
-                    break;
-                }
-                Err(_) => continue,
-            }
-        }
-        if let Some(v) = polled {
-            self.last_known_target = self.last_known_target.max(v);
-        }
-        let target = match polled {
-            Some(v) => v,
-            None if self.last_known_target > 0 => self.last_known_target,
-            None => return out, // nothing ever published
-        };
-        out.target = Some(target);
-
-        let mut min_installed = u64::MAX;
-        for host in &mut self.hosts {
-            let local = host.agent.config_version();
-            if local < target {
-                let seed = policy.seed ^ host.endpoint.0.wrapping_mul(0x9E37) ^ (round << 24);
-                let mut budget = policy.deadline_ns;
-                let mut advanced = false;
-                for attempt in 0..policy.max_attempts {
-                    if attempt > 0 {
-                        let delay = policy.backoff.delay_ns(attempt - 1, seed);
-                        if delay > budget {
-                            break;
-                        }
-                        budget -= delay;
-                        out.retries += 1;
-                        retries_counter.inc();
-                    }
-                    let local = host.agent.config_version();
-                    let (ok, injected_ns) = Self::pull_host(&self.db, host, local, target);
-                    budget = budget.saturating_sub(injected_ns);
-                    if ok {
-                        advanced = true;
-                    }
-                    if host.agent.config_version() >= target || budget == 0 {
-                        break;
-                    }
-                }
-                if advanced {
-                    out.updated += 1;
-                }
-            }
-            if host.agent.config_version() >= target {
-                if host.periods_behind > 0 {
-                    // Time-to-reconverge, in sync periods of staleness
-                    // endured before catching back up.
-                    megate_obs::histogram("agent.reconverge_periods").record(host.periods_behind);
-                }
-                host.periods_behind = 0;
-            } else {
-                host.periods_behind += 1;
-                out.stale += 1;
-                if host.periods_behind > policy.stale_ttl_periods && !host.agent.is_degraded() {
-                    // Stale past the TTL: stop steering on old paths.
-                    trace::record(
-                        trace::Stage::Degrade,
-                        host.agent.config_version(),
-                        host.endpoint.0,
-                        host.periods_behind,
-                    );
-                    host.agent.degrade();
-                }
-            }
-            if host.agent.is_degraded() {
-                out.degraded += 1;
-            }
-            min_installed = min_installed.min(host.agent.config_version());
-        }
-        megate_obs::gauge("agent.degraded_endpoints").set(out.degraded as i64);
-        // How far the slowest agent lags the published version after
-        // this poll round (`controller.config_staleness`, in versions —
-        // 0 means the whole fleet converged).
-        if min_installed != u64::MAX {
-            megate_obs::gauge("controller.config_staleness")
-                .set(target.saturating_sub(min_installed) as i64);
-        }
-        out
-    }
-
-    /// The partitioned twin of [`pull_round`](Self::pull_round): each
-    /// host follows its *own partition's* version clock. Two extra
-    /// behaviors fall out of per-partition publishing:
+    /// Each partition's version wire is polled once under its own
+    /// [`RetryBudget`]; a record that stays unreadable falls back to the
+    /// last version ever observed — config records may still be
+    /// reachable on healthy shards, and the staleness clocks must keep
+    /// ticking. Every host below its partition's version then runs
+    /// [`PullLadder`] attempts, charging backoff delays *and* injected
+    /// shard latency to the period's deadline, and closes the period on
+    /// its [`StalenessClock`]. Single-controller mode is partition 0; a
+    /// cluster adds two behaviors:
     ///
     /// * **Partition stall aging.** A healthy controller bumps its
     ///   version every interval, so a wire that stops advancing means
-    ///   the publisher is dead (or missed its publish). Hosts of a
-    ///   stalled partition age their staleness clocks even when they
-    ///   sit at the last published version — riding the same stale-TTL
-    ///   → ECMP ladder a database outage triggers — and recover on the
-    ///   first post-heal publish.
-    /// * **Degraded hosts don't re-pull stale state.** While the
-    ///   partition is stalled, a degraded host skips pulling: a
-    ///   successful pull would reinstall the dead controller's paths
-    ///   and clear degradation, only for the stall clock to re-degrade
-    ///   it next round (flapping).
-    fn pull_round_partitioned(&mut self) -> PullRound {
+    ///   the publisher is dead (or missed its publish). Its hosts age
+    ///   their staleness clocks even at the last published version —
+    ///   riding the same stale-TTL → ECMP ladder a database outage
+    ///   triggers — and recover on the first post-heal publish.
+    /// * **Degraded hosts don't re-pull stale state** while their
+    ///   partition is stalled: that would reinstall the dead
+    ///   controller's paths and clear degradation, only for the stall
+    ///   clock to re-degrade them next round (flapping).
+    pub fn pull_round(&mut self) -> PullRound {
         self.pull_rounds += 1;
         let round = self.pull_rounds;
         let _span = megate_obs::span("controller.agents_pull");
         let policy = self.config.pull;
-        let retries_counter = megate_obs::counter("agent.retries");
         let mut out = PullRound::default();
-        if self
-            .cluster
-            .as_ref()
-            .expect("partitioned mode")
-            .partition_count() as usize
-            != self.partition_clocks.len()
-        {
+        // Stall aging needs publishers that bump their version every
+        // interval; only a cluster promises that. A split re-slices it.
+        let ages_on_stall = self.cluster.is_some();
+        if ages_on_stall {
             self.refresh_partition_map();
         }
 
-        // Poll every partition's version wire under its own retry
-        // budget; a wire that fails to advance (unreadable, or same
-        // version re-observed) ages that partition's stall clock.
-        let mut targets: Vec<Option<(u64, bool)>> = Vec::with_capacity(self.partition_clocks.len());
         for (p, clock) in self.partition_clocks.iter_mut().enumerate() {
-            let mut budget = policy.deadline_ns;
+            let mut budget = policy.budget(policy.seed ^ round ^ ((p as u64) << 48));
             let mut polled = None;
-            for attempt in 0..policy.max_attempts {
-                if attempt > 0 {
-                    let delay = policy
-                        .backoff
-                        .delay_ns(attempt - 1, policy.seed ^ round ^ ((p as u64) << 48));
-                    if delay > budget {
-                        break;
-                    }
-                    budget -= delay;
-                    out.retries += 1;
-                    retries_counter.inc();
-                }
-                match self.db.latest_partition_version_checked(p as u32) {
-                    Ok(v) => {
-                        polled = v;
-                        break;
-                    }
-                    Err(_) => continue,
+            while budget.next_attempt().is_some() {
+                if let Ok(v) = self.db.latest_partition_version_checked(p as u32) {
+                    polled = v;
+                    break;
                 }
             }
-            match polled {
-                Some(v) if v > clock.last_target => {
-                    clock.last_target = v;
-                    clock.stall = 0;
-                }
-                // Nothing new on a wire that has published before: the
-                // partition's controller went silent (crash or missed
-                // publish) or the wire is unreadable — age the slice.
-                _ if clock.last_target > 0 => clock.stall += 1,
-                _ => {}
-            }
-            targets.push((clock.last_target > 0).then_some((clock.last_target, clock.stall > 0)));
+            out.retries += u64::from(budget.retries());
+            // Nothing new on a wire that has published before: the
+            // partition's controller went silent (crash or missed
+            // publish) or the wire is unreadable.
+            clock.stalled = clock.last_target > 0 && polled.is_none_or(|v| v <= clock.last_target);
+            clock.last_target = clock.last_target.max(polled.unwrap_or(0));
         }
-        out.target = targets.iter().flatten().map(|&(t, _)| t).max();
+        let newest = self.partition_clocks.iter().map(|c| c.last_target).max();
+        out.target = newest.filter(|&t| t > 0);
 
         let mut max_lag = 0u64;
-        for (host, &p) in self.hosts.iter_mut().zip(&self.partition_of_host) {
-            let Some((target, stalled)) = targets[p as usize] else {
+        for host in &mut self.hosts {
+            let partition = self
+                .cluster
+                .as_ref()
+                .map_or(0, |c| c.partition_of_endpoint(host.endpoint));
+            let clock = self.partition_clocks[partition as usize];
+            let (target, stalled) = (clock.last_target, clock.stalled && ages_on_stall);
+            if target == 0 {
                 continue; // nothing ever published for this slice
-            };
-            let local = host.agent.config_version();
-            if local < target && !(stalled && host.agent.is_degraded()) {
+            }
+            if host.agent.config_version() < target && !(stalled && host.agent.is_degraded()) {
                 let seed = policy.seed ^ host.endpoint.0.wrapping_mul(0x9E37) ^ (round << 24);
-                let mut budget = policy.deadline_ns;
-                let mut advanced = false;
-                for attempt in 0..policy.max_attempts {
-                    if attempt > 0 {
-                        let delay = policy.backoff.delay_ns(attempt - 1, seed);
-                        if delay > budget {
-                            break;
-                        }
-                        budget -= delay;
-                        out.retries += 1;
-                        retries_counter.inc();
-                    }
-                    let local = host.agent.config_version();
-                    let (ok, injected_ns) = Self::pull_host(&self.db, host, local, target);
-                    budget = budget.saturating_sub(injected_ns);
-                    if ok {
-                        advanced = true;
-                    }
-                    if host.agent.config_version() >= target || budget == 0 {
-                        break;
-                    }
+                let mut budget = policy.budget(seed);
+                let before = host.agent.config_version();
+                while host.agent.config_version() < target && budget.next_attempt().is_some() {
+                    Self::pull_attempt(&self.db, host, target, &mut budget);
                 }
-                if advanced {
-                    out.updated += 1;
-                }
+                out.retries += u64::from(budget.retries());
+                out.updated += usize::from(host.agent.config_version() != before);
             }
-            if host.agent.config_version() >= target && !stalled {
-                if host.periods_behind > 0 {
-                    megate_obs::histogram("agent.reconverge_periods").record(host.periods_behind);
-                }
-                host.periods_behind = 0;
-            } else {
-                // Behind the published version, or the publisher itself
-                // went silent: the staleness clock ticks either way.
-                host.periods_behind += 1;
-                out.stale += 1;
-                if host.periods_behind > policy.stale_ttl_periods && !host.agent.is_degraded() {
-                    trace::record(
-                        trace::Stage::Degrade,
-                        host.agent.config_version(),
-                        host.endpoint.0,
-                        host.periods_behind,
-                    );
-                    host.agent.degrade();
-                }
+            // Behind the published version, or the publisher itself
+            // went silent: the staleness clock ticks either way.
+            let version = host.agent.config_version();
+            let fresh = version >= target && !stalled;
+            let degraded = host.agent.is_degraded();
+            if host
+                .staleness
+                .end_period(&policy, host.endpoint.0, version, fresh, degraded)
+            {
+                // Stale past the TTL: stop steering on old paths.
+                host.agent.degrade();
             }
-            if host.agent.is_degraded() {
-                out.degraded += 1;
-            }
+            out.stale += usize::from(!fresh);
+            out.degraded += usize::from(host.agent.is_degraded());
             max_lag = max_lag.max(target.saturating_sub(host.agent.config_version()));
         }
+        megate_obs::counter("agent.retries").add(out.retries);
         megate_obs::gauge("agent.degraded_endpoints").set(out.degraded as i64);
+        // How far (in versions) the slowest agent still lags.
         megate_obs::gauge("controller.config_staleness").set(max_lag as i64);
         out
+    }
+
+    /// One attempt of one host's catch-up: serves the ladder's reads
+    /// from the database, charging injected shard latency to `budget`
+    /// (detected corruption is a failed read, like an outage), and
+    /// applies the plan it resolves to.
+    fn pull_attempt(db: &TeDatabase, host: &mut Host, target: u64, budget: &mut RetryBudget) {
+        let endpoint = host.endpoint.0;
+        let (mut ladder, mut step) =
+            PullLadder::start(endpoint, host.agent.config_version(), target);
+        while let PullStep::Read(key) = step {
+            step = ladder.on_read(match db.fetch_outcome(&key) {
+                Ok(o) => {
+                    budget.charge(o.injected_ns);
+                    match (o.corrupted, o.value) {
+                        (true, _) => PullRead::Failed,
+                        (false, Some(raw)) => PullRead::Value(raw),
+                        (false, None) => PullRead::Missing,
+                    }
+                }
+                Err(_) => PullRead::Failed,
+            });
+        }
+        if let PullStep::Done(plan) = step {
+            plan.install(endpoint, host.agent.is_degraded(), host);
+        }
     }
 
     /// Agents currently degraded to site-level/ECMP forwarding.
@@ -667,7 +530,7 @@ impl MegaTeSystem {
     pub fn max_periods_behind(&self) -> u64 {
         self.hosts
             .iter()
-            .map(|h| h.periods_behind)
+            .map(|h| h.staleness.periods_behind())
             .max()
             .unwrap_or(0)
     }
@@ -678,227 +541,16 @@ impl MegaTeSystem {
     pub fn host_health(&self) -> Vec<(u64, bool)> {
         self.hosts
             .iter()
-            .map(|h| (h.periods_behind, h.agent.is_degraded()))
+            .map(|h| (h.staleness.periods_behind(), h.agent.is_degraded()))
             .collect()
     }
 
     /// The endpoint served by host index `idx` (the order
     /// [`host_health`](Self::host_health) reports in) — lets an
     /// invariant failure look up the offender's flight-recorder events
-    /// via [`trace::dump_entity`].
+    /// via [`megate_obs::trace::dump_entity`].
     pub fn endpoint_of_host(&self, idx: usize) -> Option<EndpointId> {
         self.hosts.get(idx).map(|h| h.endpoint)
-    }
-
-    /// One agent's delta-aware pull attempt. Returns whether the agent
-    /// advanced its version, plus the injected shard latency the
-    /// attempt accumulated (charged against the retry deadline). On
-    /// any outage, detected corruption or undecodable record it keeps
-    /// its working configuration; the caller decides whether to retry.
-    fn pull_host(db: &TeDatabase, host: &mut Host, local: u64, target: u64) -> (bool, u64) {
-        let endpoint = host.endpoint.0;
-        let instance = InstanceId(endpoint);
-        let mut injected_ns = 0u64;
-        // Degradation state *entering* the pull decides the latency
-        // bucket: a degraded agent's successful pull is a recovery, and
-        // its solve-to-install time lands in `.degraded` regardless of
-        // which fetch path carried the bytes.
-        let was_degraded = host.agent.is_degraded();
-        // One read on the resilient path: outage and detected
-        // corruption (failed transport checksum) are both retryable
-        // failures; injected latency accumulates for the caller.
-        let read = |key: &TeKey, injected_ns: &mut u64| -> Result<Option<Vec<u8>>, ()> {
-            match db.fetch_outcome(key) {
-                Ok(o) => {
-                    *injected_ns = injected_ns.saturating_add(o.injected_ns);
-                    if o.corrupted {
-                        Err(())
-                    } else {
-                        Ok(o.value)
-                    }
-                }
-                Err(_) => Err(()),
-            }
-        };
-        let log = match read(&TeKey::Changelog { endpoint }, &mut injected_ns) {
-            Ok(Some(raw)) => match Changelog::decode(&raw) {
-                Some(log) => {
-                    trace::record(
-                        trace::Stage::ChangelogPull,
-                        target,
-                        endpoint,
-                        log.versions.len() as u64,
-                    );
-                    log
-                }
-                // Corrupt changelog: unreadable history, stay stale.
-                None => return (false, injected_ns),
-            },
-            Ok(None) => {
-                // Never configured: adopt the version with no paths.
-                host.agent.install_config(target, &[]);
-                Self::record_pull_done(endpoint, target, was_degraded, false);
-                return (true, injected_ns);
-            }
-            // Shard outage / corruption: never adopt a version whose
-            // records were unreadable.
-            Err(()) => return (false, injected_ns),
-        };
-
-        // Incremental path: the changelog is complete for everything
-        // after `complete_since`, so an agent at least that fresh can
-        // catch up from deltas alone. Fetch-then-apply: the agent's
-        // installed state is only touched once every needed delta
-        // decoded.
-        if local >= log.complete_since {
-            let mut deltas: Vec<(u64, ConfigDelta)> = Vec::new();
-            let mut complete = true;
-            for &v in log.versions.iter().filter(|v| **v > local && **v <= target) {
-                match read(
-                    &TeKey::Delta {
-                        endpoint,
-                        version: v,
-                    },
-                    &mut injected_ns,
-                ) {
-                    Ok(Some(raw)) => {
-                        trace::record(trace::Stage::DeltaPull, v, endpoint, raw.len() as u64);
-                        match decode_delta(&raw) {
-                            Some(d) => deltas.push((v, d)),
-                            None => {
-                                complete = false;
-                                break;
-                            }
-                        }
-                    }
-                    // Missing (raced with GC), outage or corruption.
-                    _ => {
-                        complete = false;
-                        break;
-                    }
-                }
-            }
-            if complete {
-                for (v, delta) in &deltas {
-                    Self::apply_delta_to_agent(&mut host.agent, instance, *v, delta);
-                }
-                host.agent.install_config(target, &[]);
-                Self::record_pull_done(endpoint, target, was_degraded, false);
-                return (true, injected_ns);
-            }
-        }
-
-        // Snapshot fallback: `u64 stamp | snapshot body`, then replay
-        // the retained deltas newer than the stamp. The GC invariant
-        // (`snapshot_every <= retention_versions`) guarantees no gap
-        // between the stamp and the oldest retained delta.
-        let raw = match read(&TeKey::Snapshot { endpoint }, &mut injected_ns) {
-            Ok(Some(raw)) if raw.len() >= 8 => raw,
-            _ => return (false, injected_ns),
-        };
-        let stamp = u64::from_be_bytes(match raw[..8].try_into() {
-            Ok(bytes) => bytes,
-            Err(_) => return (false, injected_ns),
-        });
-        let Some(cfg) = decode_paths(&raw[8..]) else {
-            return (false, injected_ns);
-        };
-        trace::record(
-            trace::Stage::SnapshotPull,
-            stamp,
-            endpoint,
-            raw.len() as u64,
-        );
-        let mut deltas: Vec<(u64, ConfigDelta)> = Vec::new();
-        let mut achieved = target;
-        for &v in log.versions.iter().filter(|v| **v > stamp && **v <= target) {
-            match read(
-                &TeKey::Delta {
-                    endpoint,
-                    version: v,
-                },
-                &mut injected_ns,
-            ) {
-                Ok(Some(raw)) => {
-                    trace::record(trace::Stage::DeltaPull, v, endpoint, raw.len() as u64);
-                    match decode_delta(&raw) {
-                        Some(d) => deltas.push((v, d)),
-                        None => {
-                            achieved = deltas.last().map_or(stamp, |(v, _)| *v);
-                            break;
-                        }
-                    }
-                }
-                _ => {
-                    achieved = deltas.last().map_or(stamp, |(v, _)| *v);
-                    break;
-                }
-            }
-        }
-        if achieved <= local {
-            // The reachable state is no newer than what is installed —
-            // keep the working configuration.
-            return (false, injected_ns);
-        }
-        host.agent
-            .install_snapshot(stamp, instance, &cfg.to_installs(instance));
-        for (v, delta) in &deltas {
-            Self::apply_delta_to_agent(&mut host.agent, instance, *v, delta);
-        }
-        host.agent.install_config(achieved, &[]);
-        Self::record_pull_done(endpoint, achieved, was_degraded, true);
-        (true, injected_ns)
-    }
-
-    /// Closes one successful pull in the flight recorder and lands its
-    /// solve-to-install latency in the right `propagation.latency.*`
-    /// histogram: `.degraded` when the agent was recovering from
-    /// degradation, else `.snapshot` vs `.delta` by the fetch path
-    /// taken. "Install" here means the whole pull's effect is live —
-    /// every delta applied / the snapshot plus its replay written to
-    /// `path_map` and the local version bumped to `achieved`. Versions
-    /// whose solve-start stamp aged out of the version clock record the
-    /// PullDone event with a zero arg and skip the histogram rather
-    /// than fabricate a latency.
-    fn record_pull_done(endpoint: u64, achieved: u64, was_degraded: bool, via_snapshot: bool) {
-        let latency = trace::version_age_ns(achieved);
-        trace::record(
-            trace::Stage::PullDone,
-            achieved,
-            endpoint,
-            latency.unwrap_or(0),
-        );
-        let path = if was_degraded {
-            "propagation.latency.degraded"
-        } else if via_snapshot {
-            "propagation.latency.snapshot"
-        } else {
-            "propagation.latency.delta"
-        };
-        if let Some(ns) = latency {
-            megate_obs::histogram(path).record(ns);
-        }
-    }
-
-    /// Translates a wire delta into the agent's in-place map edits.
-    fn apply_delta_to_agent(
-        agent: &mut EndpointAgent,
-        instance: InstanceId,
-        version: u64,
-        delta: &ConfigDelta,
-    ) {
-        let changed: Vec<PathInstall> = delta
-            .changed
-            .iter()
-            .map(|(dst_ip, hops)| PathInstall {
-                instance,
-                dst_ip: *dst_ip,
-                hops: hops.clone(),
-            })
-            .collect();
-        let removed: Vec<(InstanceId, [u8; 4])> =
-            delta.removed.iter().map(|dst| (instance, *dst)).collect();
-        agent.apply_delta(version, &changed, &removed);
     }
 
     /// Sends one frame per demand through TC egress and the WAN,

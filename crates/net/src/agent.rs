@@ -1,45 +1,45 @@
-//! The endpoint agent as an async task: the §3.2 delta-aware pull
-//! ladder driven over real sockets.
+//! The endpoint agent as an async task: the socket driver of the §3.2
+//! pull path.
 //!
 //! [`Agent`] holds one endpoint's installed state (version + path
 //! config) and runs one pull per 10 s sync period through a shared
-//! [`NetClient`]. The ladder is the same one the in-process harness
-//! runs — poll the partition version, read the changelog, catch up
-//! from deltas when the log is complete back to the installed version,
-//! otherwise fall back to snapshot-plus-replay, always
-//! fetch-then-apply — and it is budgeted by the same
-//! [`PullPolicy`]/`BackoffPolicy` ladder: jittered exponential
-//! backoff between attempts, a per-period deadline, and degradation to
-//! site-level/ECMP paths (config flushed) after
-//! `stale_ttl_periods` consecutive periods without a refresh.
+//! [`NetClient`]. It decides nothing itself: [`PullLadder`],
+//! [`RetryBudget`](megate::resilience::RetryBudget) and
+//! [`StalenessClock`] are the sans-IO code in [`megate::resilience`]
+//! that the in-process harness drives too; this module turns the
+//! ladder's reads into requests and lands its plan in an
+//! [`EndpointConfig`]. What a real transport adds:
 //!
-//! Two things change when the transport is real:
-//!
-//! * the deadline budget is charged with **wall-clock time** — injected
-//!   shard latency arrives as actual service delay, and transport
-//!   stalls (slow-loris) burn budget exactly like slow shards;
+//! * the budget is charged with **wall-clock time** — injected shard
+//!   latency arrives as actual service delay, and transport stalls
+//!   (slow-loris) burn budget exactly like slow shards;
 //! * every network read is capped by the budget's remaining time via
 //!   [`timeout`], so a stalled response can cost at most the rest of
-//!   this period's budget, never block the agent across periods.
+//!   this period's budget, never block the agent across periods;
+//! * each attempt polls the partition's version itself (the in-process
+//!   harness polls once per partition for the whole fleet).
 
 use crate::client::NetClient;
 use crate::frame::{Request, Response};
-use crate::reactor::timeout;
-use megate::config::{decode_delta, decode_paths, EndpointConfig};
-use megate::resilience::PullPolicy;
-use megate_tedb::Changelog;
+use crate::reactor::{timeout, Sleep};
+use megate::config::{ConfigDelta, EndpointConfig};
+use megate::resilience::{
+    InstallTarget, PullLadder, PullPolicy, PullRead, PullStep, StalenessClock,
+};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// What one sync period's pull accomplished.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PullReport {
-    /// The agent holds a configuration no older than the published
-    /// version it observed (it advanced, or was already fresh).
+    /// The agent ends the period at (or past) the published version it
+    /// observed — it caught up, was already fresh, or nothing has been
+    /// published yet.
     pub refreshed: bool,
     /// The agent advanced its installed version this period.
     pub advanced: bool,
-    /// Network attempts spent (0 when the first try succeeded... 1-based).
+    /// Attempts spent this period, 1-based: 1 when the first try
+    /// resolved the pull, up to `max_attempts`.
     pub attempts: u32,
     /// Wall-clock time from pull start to outcome.
     pub elapsed: Duration,
@@ -50,7 +50,7 @@ pub struct PullReport {
 }
 
 /// One endpoint's agent: installed config state plus the pull policy
-/// driving its retry ladder.
+/// budgeting its retries.
 pub struct Agent {
     /// This agent's endpoint id (the `TeKey` keyspace index).
     pub endpoint: u64,
@@ -60,13 +60,28 @@ pub struct Agent {
     pub policy: PullPolicy,
     version: u64,
     config: EndpointConfig,
-    periods_behind: u64,
+    staleness: StalenessClock,
     degraded: bool,
 }
 
-/// A retryable pull failure (outage, corruption, transport error or
-/// budget-capped stall) — the ladder backs off and tries again.
-struct Retry;
+/// A catch-up plan lands in the agent's [`EndpointConfig`].
+impl InstallTarget for Agent {
+    fn install_base(&mut self, _stamp: u64, config: EndpointConfig) {
+        self.config = config;
+    }
+
+    fn apply_delta(&mut self, _version: u64, delta: &ConfigDelta) {
+        delta.apply(&mut self.config);
+    }
+
+    fn adopt(&mut self, version: u64) {
+        self.version = version;
+        if self.degraded {
+            megate_obs::counter("net.agent_recoveries").inc();
+            self.degraded = false;
+        }
+    }
+}
 
 impl Agent {
     /// A fresh agent with no installed configuration.
@@ -77,7 +92,7 @@ impl Agent {
             policy,
             version: 0,
             config: EndpointConfig::default(),
-            periods_behind: 0,
+            staleness: StalenessClock::default(),
             degraded: false,
         }
     }
@@ -99,64 +114,56 @@ impl Agent {
 
     /// Consecutive sync periods without a successful refresh.
     pub fn periods_behind(&self) -> u64 {
-        self.periods_behind
+        self.staleness.periods_behind()
     }
 
-    /// Runs one sync period's pull: retry ladder within the period's
-    /// deadline budget, then staleness/degradation bookkeeping.
+    /// Runs one sync period's pull: attempts (version poll, then the
+    /// catch-up ladder when the published version is ahead) within the
+    /// period's retry budget, then the staleness clock.
     pub async fn sync_period_pull(&mut self, client: &Arc<NetClient>) -> PullReport {
         let start = Instant::now();
         let deadline = start + Duration::from_nanos(self.policy.deadline_ns);
         let seed = self.policy.seed ^ self.endpoint.rotate_left(17);
-        let mut attempts = 0u32;
-        let mut outcome: Option<(bool, bool)> = None; // (advanced, via_snapshot)
-        while attempts < self.policy.max_attempts && Instant::now() < deadline {
-            attempts += 1;
-            match self.attempt_pull(client, deadline).await {
-                Ok(step) => {
-                    outcome = Some(step);
-                    break;
-                }
-                Err(Retry) => {
-                    let delay = self.policy.backoff.delay_ns(attempts - 1, seed);
-                    let now = Instant::now();
-                    if now + Duration::from_nanos(delay) >= deadline {
-                        break; // budget spent; next period
-                    }
-                    crate::reactor::Sleep::after(Duration::from_nanos(delay)).await;
-                }
+        let mut budget = self.policy.budget(seed);
+        let before = self.version;
+        let (mut refreshed, mut via_snapshot) = (false, false);
+        while let Some(delay) = budget.next_attempt() {
+            if delay > 0 {
+                Sleep::after(Duration::from_nanos(delay)).await;
             }
+            let (fresh, snapshot) = self.attempt(client, deadline).await;
+            (refreshed, via_snapshot) = (fresh, via_snapshot | snapshot);
+            if refreshed {
+                break;
+            }
+            budget.charge_elapsed(start.elapsed().as_nanos() as u64);
         }
         let elapsed = start.elapsed();
-        let refreshed = outcome.is_some();
-        let (advanced, via_snapshot) = outcome.unwrap_or((false, false));
         if refreshed {
-            self.periods_behind = 0;
-            if self.degraded {
-                megate_obs::counter("net.agent_recoveries").inc();
-                self.degraded = false;
-            }
             megate_obs::histogram("net.pull_latency_ns").record(elapsed.as_nanos() as u64);
         } else {
-            self.periods_behind += 1;
             megate_obs::counter("net.pull_stale_periods").inc();
-            if self.periods_behind >= self.policy.stale_ttl_periods && !self.degraded {
-                // Stale past the TTL: stop steering on arbitrarily old
-                // paths, flush to ECMP until a fresh config lands. The
-                // version resets with the config (as the in-process
-                // host agent does) so recovery rebuilds from a
-                // snapshot rather than replaying deltas onto the
-                // flushed state.
-                self.degraded = true;
-                self.config = EndpointConfig::default();
-                self.version = 0;
-                megate_obs::counter("net.agent_degraded").inc();
-            }
+        }
+        if self.staleness.end_period(
+            &self.policy,
+            self.endpoint,
+            self.version,
+            refreshed,
+            self.degraded,
+        ) {
+            // Flush to ECMP until a fresh config lands. The version
+            // resets with the config (as the host agent's `degrade`
+            // does) so recovery rebuilds from a snapshot rather than
+            // replaying deltas onto the flushed state.
+            self.degraded = true;
+            self.config = EndpointConfig::default();
+            self.version = 0;
+            megate_obs::counter("net.agent_degraded").inc();
         }
         PullReport {
             refreshed,
-            advanced,
-            attempts,
+            advanced: self.version > before,
+            attempts: budget.attempts(),
             elapsed,
             via_snapshot,
             degraded: self.degraded,
@@ -164,190 +171,55 @@ impl Agent {
     }
 
     /// One attempt: version poll, then the catch-up ladder when the
-    /// published version is ahead. `Ok((advanced, via_snapshot))`.
-    async fn attempt_pull(
-        &mut self,
-        client: &Arc<NetClient>,
-        deadline: Instant,
-    ) -> Result<(bool, bool), Retry> {
-        let target = match self.read_version(client, deadline).await? {
-            Some(v) => v,
-            None => return Ok((false, false)), // nothing published yet
+    /// published version is ahead. Returns whether the agent now holds
+    /// the version it observed, and whether it went via the snapshot.
+    async fn attempt(&mut self, client: &Arc<NetClient>, deadline: Instant) -> (bool, bool) {
+        let poll = Request::GetVersion {
+            partition: self.partition,
         };
-        if target <= self.version {
-            return Ok((false, false)); // already fresh
-        }
-        self.ladder(client, target, deadline).await
-    }
-
-    /// The delta/snapshot catch-up ladder, mirroring the in-process
-    /// pull: fetch-then-apply, never adopt a version whose records
-    /// were unreadable, keep the working config on any failure.
-    async fn ladder(
-        &mut self,
-        client: &Arc<NetClient>,
-        target: u64,
-        deadline: Instant,
-    ) -> Result<(bool, bool), Retry> {
-        let endpoint = self.endpoint;
-        let local = self.version;
-        let log = match self
-            .read_record(client, Request::GetChangelog { endpoint }, deadline)
-            .await?
-        {
-            Some(raw) => Changelog::decode(&raw).ok_or(Retry)?,
-            None => {
-                // Never configured: adopt the version with no paths.
-                self.version = target;
-                return Ok((true, false));
-            }
+        let target = match request_until(client, poll, deadline).await {
+            Some(Response::VersionIs { version }) => version.unwrap_or(0),
+            _ => return (false, false),
         };
-
-        // Incremental path: the log is complete for everything after
-        // `complete_since`, so an agent at least that fresh catches up
-        // from deltas alone.
-        if local >= log.complete_since {
-            let mut deltas = Vec::new();
-            let mut complete = true;
-            for &v in log.versions.iter().filter(|v| **v > local && **v <= target) {
-                let read = self
-                    .read_record(
-                        client,
-                        Request::GetDelta {
-                            endpoint,
-                            version: v,
-                        },
-                        deadline,
-                    )
-                    .await;
-                match read {
-                    Ok(Some(raw)) => match decode_delta(&raw) {
-                        Some(d) => deltas.push(d),
-                        None => {
-                            complete = false;
-                            break;
-                        }
-                    },
-                    // Missing (raced with GC), outage, corruption or
-                    // transport failure: fall back to snapshot.
-                    _ => {
-                        complete = false;
-                        break;
-                    }
+        if self.version >= target {
+            return (true, false); // already fresh, or nothing published yet
+        }
+        let (mut ladder, mut step) = PullLadder::start(self.endpoint, self.version, target);
+        while let PullStep::Read(key) = step {
+            step = ladder.on_read(match request_until(client, key.into(), deadline).await {
+                Some(Response::Record { value, .. }) => {
+                    value.map_or(PullRead::Missing, PullRead::Value)
                 }
-            }
-            if complete {
-                for d in &deltas {
-                    d.apply(&mut self.config);
-                }
-                self.version = target;
-                return Ok((true, false));
-            }
+                _ => PullRead::Failed,
+            });
         }
-
-        // Snapshot fallback: `u64 stamp | body`, then replay retained
-        // deltas newer than the stamp.
-        let raw = match self
-            .read_record(client, Request::GetSnapshot { endpoint }, deadline)
-            .await?
-        {
-            Some(raw) if raw.len() >= 8 => raw,
-            _ => return Err(Retry),
-        };
-        let stamp = u64::from_be_bytes(raw[..8].try_into().map_err(|_| Retry)?);
-        let cfg = decode_paths(&raw[8..]).ok_or(Retry)?;
-        let mut deltas = Vec::new();
-        let mut achieved = target;
-        for &v in log.versions.iter().filter(|v| **v > stamp && **v <= target) {
-            let read = self
-                .read_record(
-                    client,
-                    Request::GetDelta {
-                        endpoint,
-                        version: v,
-                    },
-                    deadline,
-                )
-                .await;
-            match read {
-                Ok(Some(raw)) => match decode_delta(&raw) {
-                    Some(d) => deltas.push((v, d)),
-                    None => {
-                        achieved = deltas.last().map_or(stamp, |(v, _)| *v);
-                        break;
-                    }
-                },
-                _ => {
-                    achieved = deltas.last().map_or(stamp, |(v, _)| *v);
-                    break;
-                }
-            }
+        let mut via_snapshot = false;
+        if let PullStep::Done(plan) = step {
+            via_snapshot = plan.via_snapshot();
+            plan.install(self.endpoint, self.degraded, self);
         }
-        if achieved <= local {
-            // The reachable state is no newer than what is installed.
-            return Err(Retry);
-        }
-        self.config = cfg;
-        for (_, d) in &deltas {
-            d.apply(&mut self.config);
-        }
-        self.version = achieved;
-        Ok((true, true))
+        (self.version >= target, via_snapshot)
     }
+}
 
-    async fn read_version(
-        &self,
-        client: &Arc<NetClient>,
-        deadline: Instant,
-    ) -> Result<Option<u64>, Retry> {
-        match self
-            .bounded_request(
-                client,
-                Request::GetVersion {
-                    partition: self.partition,
-                },
-                deadline,
-            )
-            .await?
-        {
-            Response::VersionIs { version } => Ok(version),
-            _ => Err(Retry),
-        }
+/// One request capped by the period budget's remaining time. Every
+/// failure class — outage error, CRC failure, connection break,
+/// timeout — is the same `None`.
+async fn request_until(
+    client: &Arc<NetClient>,
+    req: Request,
+    deadline: Instant,
+) -> Option<Response> {
+    let remaining = deadline.saturating_duration_since(Instant::now());
+    if remaining.is_zero() {
+        return None;
     }
-
-    async fn read_record(
-        &self,
-        client: &Arc<NetClient>,
-        req: Request,
-        deadline: Instant,
-    ) -> Result<Option<Vec<u8>>, Retry> {
-        match self.bounded_request(client, req, deadline).await? {
-            Response::Record { value, .. } => Ok(value),
-            _ => Err(Retry),
-        }
-    }
-
-    /// One request capped by the period budget's remaining time. Every
-    /// failure class — outage error, CRC failure, connection break,
-    /// timeout — lands in the same retryable bucket.
-    async fn bounded_request(
-        &self,
-        client: &Arc<NetClient>,
-        req: Request,
-        deadline: Instant,
-    ) -> Result<Response, Retry> {
-        let remaining = deadline.saturating_duration_since(Instant::now());
-        if remaining.is_zero() {
-            return Err(Retry);
-        }
-        match timeout(remaining, client.request(&req)).await {
-            Some(Ok(Response::Error { .. })) => Err(Retry),
-            Some(Ok(resp)) => Ok(resp),
-            Some(Err(_)) => Err(Retry),
-            None => {
-                megate_obs::counter("net.pull_timeouts").inc();
-                Err(Retry)
-            }
+    match timeout(remaining, client.request(&req)).await {
+        Some(Ok(Response::Error { .. })) | Some(Err(_)) => None,
+        Some(Ok(resp)) => Some(resp),
+        None => {
+            megate_obs::counter("net.pull_timeouts").inc();
+            None
         }
     }
 }

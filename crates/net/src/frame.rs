@@ -136,6 +136,19 @@ pub enum Request {
     Ping,
 }
 
+/// The read request addressing a TE-DB key — the inverse of
+/// [`Request::te_key`].
+impl From<TeKey> for Request {
+    fn from(key: TeKey) -> Self {
+        match key {
+            TeKey::Version { partition } => Request::GetVersion { partition },
+            TeKey::Changelog { endpoint } => Request::GetChangelog { endpoint },
+            TeKey::Delta { endpoint, version } => Request::GetDelta { endpoint, version },
+            TeKey::Snapshot { endpoint } => Request::GetSnapshot { endpoint },
+        }
+    }
+}
+
 impl Request {
     /// The `TeKey` a data request addresses; `None` for
     /// `Hello`/`Ping`/`GetVersion` is never returned — version reads
@@ -605,5 +618,16 @@ mod tests {
             })
         );
         assert_eq!(Request::Ping.te_key(), None);
+        for key in [
+            TeKey::Version { partition: 2 },
+            TeKey::Changelog { endpoint: 5 },
+            TeKey::Delta {
+                endpoint: 5,
+                version: 9,
+            },
+            TeKey::Snapshot { endpoint: 5 },
+        ] {
+            assert_eq!(Request::from(key).te_key(), Some(key), "1:1 both ways");
+        }
     }
 }

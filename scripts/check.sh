@@ -44,6 +44,7 @@ cargo run -q -p megate-bench --release --bin fig_partition -- --scale quick
 # codec-fingerprint pin, and the chaos invariants re-proven over real TCP.
 cargo test -q -p megate-net --test protocol
 cargo test -q -p megate-net --test service_chaos
+cargo test -q -p megate-net --test transport_equivalence
 # A reduced fig_service run: agent fan-out over real sockets must keep
 # every clean-service pull refreshed with p99 inside one 10 s sync period.
 cargo run -q -p megate-bench --release --bin fig_service -- --scale quick

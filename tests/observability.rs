@@ -414,13 +414,24 @@ fn disabled_lp_pivot_loop_records_nothing() {
     );
 
     // A full solve ran, yet no counter moved — the pivot loop's
-    // `inc()` calls were pure branch-not-taken.
+    // `inc()` calls were pure branch-not-taken. Values are compared
+    // with absent ≡ 0: a disabled run may still *register* a counter
+    // (at 0) that no earlier test in this process had touched.
+    let value = |counters: &std::collections::BTreeMap<String, u64>, name: &str| {
+        counters.get(name).copied().unwrap_or(0)
+    };
     assert_eq!(
-        before.counters.get("lp.pivots"),
-        after.counters.get("lp.pivots"),
+        value(&before.counters, "lp.pivots"),
+        value(&after.counters, "lp.pivots"),
         "disabled pivot counter must not move"
     );
-    assert_eq!(before.counters, after.counters);
+    for name in before.counters.keys().chain(after.counters.keys()) {
+        assert_eq!(
+            value(&before.counters, name),
+            value(&after.counters, name),
+            "counter {name} moved while disabled"
+        );
+    }
     for (name, h) in &after.histograms {
         let prev = before.histograms.get(name).map(|h| h.count).unwrap_or(0);
         assert_eq!(h.count, prev, "histogram {name} recorded while disabled");
