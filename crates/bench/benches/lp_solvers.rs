@@ -91,13 +91,9 @@ fn bench_lp(c: &mut Criterion) {
             b.iter(|| p.solve_fptas(0.1))
         });
     }
-    // FPTAS-only at a size the dense simplex cannot touch, serial and
-    // batch-priced parallel.
+    // FPTAS-only at a size the dense simplex cannot touch.
     let big = random_mcf(200, 5_000, 9);
     group.bench_function("fptas_0.1/5000", |b| b.iter(|| big.solve_fptas(0.1)));
-    group.bench_function("fptas_0.1x4/5000", |b| {
-        b.iter(|| big.solve_fptas_with(0.1, 4))
-    });
     group.finish();
 }
 

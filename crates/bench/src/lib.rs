@@ -109,7 +109,9 @@ pub fn build_instance(spec: TopologySpec, endpoints: usize, seed: u64) -> Instan
     };
     // Step 2: binary-search the demand scale so the (fractional)
     // optimum's satisfied ratio lands near the 90% target. The probe is
-    // the site-aggregated MCF — cheap even at hyper-scale.
+    // the site-aggregated MCF: 8 FPTAS solves whose cost follows site
+    // pairs, not endpoints — measured 1.3–1.6 s each on TWAN at 100k
+    // endpoint demands (2829 pairs), ~12 s of set-up per instance.
     let total = demands.total_mbps();
     if total > 0.0 {
         let ratio_at = |alpha: f64| -> f64 {

@@ -63,7 +63,7 @@ pub struct ControllerConfig {
     pub cold_every: u64,
     /// Warm solves are only attempted while dirty-pair churn stays at
     /// or below this many parts-per-million; the previous interval's
-    /// published-path churn (the `solver.diff_churn_ppm` gauge) above
+    /// published-path churn (its publish diff's `churn_ratio`) above
     /// this threshold also forces the next solve cold.
     pub warm_churn_max_ppm: i64,
     /// Which controller partition this instance owns. Partition 0 is
@@ -238,11 +238,11 @@ pub struct Controller {
     /// intervals; invalidated whenever the published allocation
     /// diverges from the engine's view (fallback publishes).
     engine: IncrementalEngine,
-    /// Last interval's published-path churn (the
-    /// `solver.diff_churn_ppm` gauge, read back right after the diff
-    /// that set it): an external-signal hint that forces the *next*
-    /// solve cold when the fleet-visible churn exceeded
-    /// [`ControllerConfig::warm_churn_max_ppm`].
+    /// Last interval's published-path churn in ppm, taken from the
+    /// publish diff itself (never from the `solver.diff_churn_ppm`
+    /// gauge, which is output only and a no-op with metrics off): a
+    /// hint that forces the *next* solve cold when the fleet-visible
+    /// churn exceeded [`ControllerConfig::warm_churn_max_ppm`].
     churn_hint_ppm: i64,
 }
 
@@ -654,9 +654,9 @@ impl Controller {
         };
         // Warm-vs-cold: topology events (forced snapshots) and a
         // previous interval whose *published* churn blew past the
-        // threshold (the `solver.diff_churn_ppm` gauge read back in
-        // `publish_paths`) both force a full cold solve; otherwise the
-        // engine decides from its own dirty set.
+        // threshold (the diff's churn kept by `publish_paths`) both
+        // force a full cold solve; otherwise the engine decides from
+        // its own dirty set.
         let force_cold = force_snapshot || self.churn_hint_ppm > self.config.warm_churn_max_ppm;
         let solve_span = megate_obs::span("controller.solve");
         let solved = self.engine.solve(&problem, force_cold);
@@ -735,7 +735,7 @@ impl Controller {
         };
 
         // A cold solve (or an invalidated engine) absorbed whatever
-        // churn the diff gauge just observed — including the trivial
+        // churn the publish diff just observed — including the trivial
         // 100 % churn of a cold start — so it says nothing about
         // upcoming drift. Only churn published *by a warm interval*
         // argues for forcing the next solve cold.
@@ -859,10 +859,10 @@ impl Controller {
     ) -> Result<PublishOutcome, ControllerError> {
         let diff_span = megate_obs::span("controller.diff");
         let diff = diff_endpoint_paths(&self.last_paths, &next_paths);
-        // Read the churn gauge straight back after the diff that set
-        // it: the fleet-visible churn signal steering the *next*
-        // interval's warm/cold decision.
-        self.churn_hint_ppm = megate_obs::gauge("solver.diff_churn_ppm").get();
+        // The fleet-visible churn steering the *next* interval's
+        // warm/cold decision — the same value the diff publishes as
+        // `solver.diff_churn_ppm`.
+        self.churn_hint_ppm = (diff.churn_ratio() * 1e6) as i64;
         drop(diff_span);
         let version = self.version + 1;
         let empty = EndpointConfig::default();

@@ -18,13 +18,16 @@
 //!   optimal in near-linear time. Demand caps are folded in as one
 //!   virtual edge per commodity. Used at hyper-scale.
 //!
-//! The FPTAS keeps the instance in flat CSR incidence (path → links
-//!   plus its link → paths transpose), maintains every path's dual
-//!   length incrementally under the multiplicative weight updates, and
-//!   batch-prices all commodities in parallel at each phase start.
-//!   Flow is still applied serially in commodity order with staleness
-//!   revalidation, so the output is bitwise identical for any thread
-//!   count — see [`McfProblem::solve_fptas_with`].
+//! The FPTAS prices commodity-locally: it keeps the instance as a flat
+//! path → links CSR plus one dual length per edge, and when the
+//! round-robin reaches a commodity it sums that commodity's own tunnel
+//! lengths from the edge lengths, routes, and updates only the routed
+//! tunnel's edges. A step costs own tunnels × hops reads (≈ 4 × 7 on
+//! TWAN) however many other tunnels share the touched links; no global
+//! per-path state exists to keep current, so there is nothing to fan
+//! out, nothing to drift, and the solve is one serial loop. Each solve
+//! also certifies its own optimality gap from the LP dual bound
+//! `min D(l)/α(l)` over the lengths it passed through.
 
 use crate::revised::LpBasis;
 use crate::simplex::{LinearProgram, LpError, LpStatus};
@@ -73,6 +76,28 @@ pub struct McfProblem {
     /// traffic always beats dropping it.
     pub epsilon_weight: f64,
 }
+
+/// What one FPTAS solve cost and how good it provably is. Crate-private:
+/// the `lp.fptas_*` metrics are fed from it, and tests read it directly
+/// so concurrent solves on the process-global registry cannot disturb
+/// them.
+#[derive(Debug, Clone, Copy, Default)]
+struct FptasStats {
+    /// Phases (`alpha *= 1+eps` rounds).
+    phases: u64,
+    /// Routing steps: one tunnel shipped its bottleneck amount.
+    steps: u64,
+    /// Tunnel dual-length evaluations, dual-bound samples included.
+    path_evals: u64,
+    /// `1e6·(1 − total_flow/bound)` against the best sampled LP dual
+    /// bound: a certificate, not an estimate from ε.
+    gap_ppm: i64,
+}
+
+/// How many phase starts (evenly spaced) the dual bound is sampled at;
+/// each sample costs about one phase's pricing pass, so 32 of a few thousand
+/// phases stays under 1 % of the solve (measured ≈ 0.5 % on TWAN).
+const BOUND_SAMPLES: f64 = 32.0;
 
 /// A solved MCF.
 #[derive(Debug, Clone)]
@@ -219,9 +244,9 @@ impl McfProblem {
         }
     }
 
-    /// Exact solve via the dense simplex. Fails with
-    /// [`LpError::TooLarge`] when the tableau would not fit — the same
-    /// out-of-memory wall the paper reports for LP-all at scale.
+    /// Exact solve via the sparse revised simplex. Fails with
+    /// [`LpError::TooLarge`] when the basis inverse would not fit — the
+    /// same out-of-memory wall the paper reports for LP-all at scale.
     pub fn solve_exact(&self) -> Result<McfSolution, LpError> {
         let _span = megate_obs::span("lp.exact");
         let (lp, var_of, link_row) = self.build_lp();
@@ -297,39 +322,49 @@ impl McfProblem {
     /// optimal. Among near-shortest (by dual length) paths the lowest
     /// `w_t` is preferred, realizing the objective's short-path bias.
     ///
-    /// Single-threaded convenience wrapper around
-    /// [`solve_fptas_with`](McfProblem::solve_fptas_with); the result
-    /// is identical for every thread count.
+    /// One serial loop; publishes the solve's work counts
+    /// (`lp.fptas_phases`, `lp.fptas_steps`, `lp.fptas_path_evals`) and
+    /// its certified optimality gap (`lp.fptas_gap_ppm`) once, at the
+    /// end.
     pub fn solve_fptas(&self, eps: f64) -> McfSolution {
-        self.solve_fptas_with(eps, 1)
+        let _span = megate_obs::span("lp.fptas");
+        let (sol, stats) = self.fptas(eps);
+        megate_obs::counter("lp.fptas_phases").add(stats.phases);
+        megate_obs::counter("lp.fptas_steps").add(stats.steps);
+        megate_obs::counter("lp.fptas_path_evals").add(stats.path_evals);
+        megate_obs::gauge("lp.fptas_gap_ppm").set(stats.gap_ppm);
+        sol
     }
 
-    /// [`solve_fptas`](McfProblem::solve_fptas) with explicit
-    /// parallelism. `threads` bounds the workers used for the
-    /// phase-start batch pricing (exact path-length refresh + shortest
-    /// tunnel per commodity). Flow application stays serial in
-    /// commodity order and revalidates any commodity whose path
-    /// lengths changed since pricing, so flows and prices are bitwise
-    /// identical regardless of `threads`.
-    pub fn solve_fptas_with(&self, eps: f64, threads: usize) -> McfSolution {
+    /// [`solve_fptas`](McfProblem::solve_fptas); `threads` is ignored.
+    /// The FPTAS prices each commodity from its own tunnels as it is
+    /// visited, which left nothing worth fanning out: the solve is one
+    /// serial loop. Kept only because out-of-workspace callers bind to
+    /// this signature.
+    pub fn solve_fptas_with(&self, eps: f64, _threads: usize) -> McfSolution {
+        self.solve_fptas(eps)
+    }
+
+    /// The FPTAS kernel: the solution plus what it cost and how far
+    /// from optimal it can be.
+    fn fptas(&self, eps: f64) -> (McfSolution, FptasStats) {
         assert!(eps > 0.0 && eps <= 0.5, "eps must be in (0, 0.5]");
-        let _span = megate_obs::span("lp.fptas");
-        let phase_ctr = megate_obs::counter("lp.fptas_phases");
-        let threads = threads.max(1);
         let n_links = self.link_capacity.len();
         let n_comm = self.commodities.len();
+        let mut stats = FptasStats::default();
         let mut flows: Vec<Vec<f64>> = self
             .commodities
             .iter()
             .map(|c| vec![0.0; c.paths.len()])
             .collect();
         if n_comm == 0 {
-            return McfSolution {
+            let sol = McfSolution {
                 flows,
                 total_flow: 0.0,
                 objective: 0.0,
                 link_prices: vec![0.0; n_links],
             };
+            return (sol, stats);
         }
 
         // ---- Flat CSR incidence -------------------------------------
@@ -337,21 +372,15 @@ impl McfProblem {
         // commodity: pid = comm_ptr[k] + t.
         let mut comm_ptr = Vec::with_capacity(n_comm + 1);
         comm_ptr.push(0usize);
-        for c in &self.commodities {
-            comm_ptr.push(comm_ptr.last().unwrap() + c.paths.len());
-        }
-        let n_paths = *comm_ptr.last().unwrap();
-
-        // path -> links (CSR), commodity of each path, and the static
-        // amount each routing step ships: min(D_k, bottleneck cap).
-        // Neither demands nor capacities change during the FPTAS, so
-        // the bottleneck is a per-path constant.
-        let mut ppt = Vec::with_capacity(n_paths + 1);
-        ppt.push(0usize);
+        // path -> links (CSR), tunnel weight, and the static amount each
+        // routing step ships: min(D_k, bottleneck cap). Neither demands
+        // nor capacities change during the FPTAS, so the bottleneck is
+        // a per-path constant.
+        let mut ppt = vec![0usize];
         let mut plinks: Vec<u32> = Vec::new();
-        let mut comm_of: Vec<u32> = Vec::with_capacity(n_paths);
-        let mut route_amount: Vec<f64> = Vec::with_capacity(n_paths);
-        for (k, c) in self.commodities.iter().enumerate() {
+        let mut weight: Vec<f64> = Vec::new();
+        let mut route_amount: Vec<f64> = Vec::new();
+        for c in &self.commodities {
             for p in &c.paths {
                 let mut amt = c.demand;
                 for &e in &p.links {
@@ -359,182 +388,135 @@ impl McfProblem {
                     amt = amt.min(self.link_capacity[e]);
                 }
                 ppt.push(plinks.len());
-                comm_of.push(k as u32);
-                route_amount.push(amt.max(0.0));
+                weight.push(p.weight);
+                route_amount.push(amt);
             }
+            comm_ptr.push(weight.len());
         }
-
-        // link -> paths transpose. A path traversing a link twice
-        // appears twice — exactly the doubled coefficient the additive
-        // length propagation needs.
-        let mut lptr = vec![0usize; n_links + 1];
-        for &e in &plinks {
-            lptr[e as usize + 1] += 1;
-        }
-        for e in 0..n_links {
-            lptr[e + 1] += lptr[e];
-        }
-        let mut lpaths = vec![0u32; plinks.len()];
-        let mut cursor = lptr.clone();
-        for pid in 0..n_paths {
-            for &e in &plinks[ppt[pid]..ppt[pid + 1]] {
-                lpaths[cursor[e as usize]] = pid as u32;
-                cursor[e as usize] += 1;
-            }
-        }
+        let n_paths = weight.len();
 
         // ---- Multiplicative-weight state ----------------------------
         // Edge universe: real links then one virtual demand-edge per
-        // commodity (capacity D_k).
+        // commodity (capacity D_k). Zero-capacity edges are infinitely
+        // long, so no path over them is ever routed.
         let m = n_links + n_comm;
         let delta = (1.0 + eps) * ((1.0 + eps) * m as f64).powf(-1.0 / eps);
-        let mut length: Vec<f64> = (0..m)
-            .map(|e| {
-                let cap = self.edge_cap(e, n_links);
-                if cap > 0.0 {
-                    delta / cap
-                } else {
-                    f64::INFINITY
-                }
-            })
+        let cap: Vec<f64> = (self.link_capacity.iter().copied())
+            .chain(self.commodities.iter().map(|c| c.demand))
+            .collect();
+        let mut length: Vec<f64> = cap
+            .iter()
+            .map(|&c| if c > 0.0 { delta / c } else { f64::INFINITY })
             .collect();
 
-        // Incrementally maintained dual length per path (virtual edge
-        // included); refreshed exactly at each phase start to cancel
-        // additive drift.
-        let mut path_len = vec![f64::INFINITY; n_paths];
-        const NONE: u32 = u32::MAX;
-        let mut cand = vec![NONE; n_comm];
-        // dirty[k]: some path length of k changed since batch pricing,
-        // so its phase-start candidate may be stale.
-        let mut dirty = vec![false; n_comm];
-
-        // Shortest tunnel of k by dual length; prefer lower w_t within
-        // (1+eps) of the minimum. Shared verbatim by the parallel batch
-        // pricing and the serial revalidation so both pick identically.
-        let select = |k: usize, path_len: &[f64]| -> Option<usize> {
-            let paths = &self.commodities[k].paths;
-            let base = comm_ptr[k];
+        // Commodity-local pricing: the exact dual length of each of
+        // k's own tunnels (virtual edge included), straight from
+        // `length`. A visit costs tunnels × hops reads and nothing
+        // outside k is touched.
+        let price = |k: usize, length: &[f64], own: &mut Vec<f64>| {
+            own.clear();
+            own.extend((comm_ptr[k]..comm_ptr[k + 1]).map(|pid| {
+                plinks[ppt[pid]..ppt[pid + 1]]
+                    .iter()
+                    .fold(length[n_links + k], |l, &e| l + length[e as usize])
+            }));
+        };
+        // Shortest tunnel by dual length; prefer lower w_t within
+        // (1+eps) of the minimum.
+        let select = |own: &[f64], w: &[f64]| -> Option<usize> {
             let mut best_t = None;
             let mut best_len = f64::INFINITY;
-            for t in 0..paths.len() {
-                let l = path_len[base + t];
+            for (t, &l) in own.iter().enumerate() {
                 if l < best_len {
                     best_len = l;
                     best_t = Some(t);
                 }
             }
             let mut t = best_t?;
-            for c in 0..paths.len() {
-                if path_len[base + c] <= best_len * (1.0 + eps) && paths[c].weight < paths[t].weight
-                {
+            for (c, &l) in own.iter().enumerate() {
+                if l <= best_len * (1.0 + eps) && w[c] < w[t] {
                     t = c;
                 }
             }
             Some(t)
         };
+        // LP dual bound at lengths `l`: scaling `l` by 1/α(l), α the
+        // shortest tunnel anywhere, makes it dual-feasible, so no flow
+        // exceeds D(l)/α(l), D(l) = Σ_e cap_e·l_e.
+        let dual_bound = |length: &[f64], own: &mut Vec<f64>| -> f64 {
+            let d: f64 = (0..m)
+                .filter(|&e| cap[e] > 0.0)
+                .map(|e| cap[e] * length[e])
+                .sum();
+            let mut a = f64::INFINITY;
+            for k in 0..n_comm {
+                price(k, length, own);
+                a = own.iter().fold(a, |a, &l| a.min(l));
+            }
+            if a.is_finite() {
+                d / a
+            } else {
+                0.0 // nothing is routable
+            }
+        };
 
+        // Raw flows overshoot by log_{1+eps}(1/delta) — also the number
+        // of phases, which spaces the dual-bound samples.
+        let scale = ((1.0 / delta).ln() / (1.0 + eps).ln()).max(1.0);
+        let sample_every = (scale / BOUND_SAMPLES).ceil() as u64;
+        let mut bound = f64::INFINITY;
+        let mut own: Vec<f64> = Vec::new();
         let mut alpha = delta; // lower bound on the global min path length
         while alpha < 1.0 {
-            phase_ctr.inc();
-            // Phase-start batch pricing: recompute every path length
-            // exactly from `length`, then pick each commodity's
-            // candidate tunnel. Both passes are element-independent
-            // with a fixed per-element reduction order, so any chunking
-            // across workers yields bitwise-identical results.
-            par_chunks_mut(&mut path_len, threads, &|offset, chunk: &mut [f64]| {
-                for (i, slot) in chunk.iter_mut().enumerate() {
-                    let pid = offset + i;
-                    let mut l = length[n_links + comm_of[pid] as usize];
-                    for &e in &plinks[ppt[pid]..ppt[pid + 1]] {
-                        l += length[e as usize];
-                    }
-                    *slot = l;
-                }
-            });
-            {
-                let path_len = &path_len[..];
-                par_chunks_mut(&mut cand, threads, &|offset, chunk: &mut [u32]| {
-                    for (i, slot) in chunk.iter_mut().enumerate() {
-                        let k = offset + i;
-                        *slot = if self.commodities[k].demand > 0.0 {
-                            select(k, path_len).map_or(NONE, |t| t as u32)
-                        } else {
-                            NONE
-                        };
-                    }
-                });
+            if stats.phases % sample_every == 0 {
+                bound = bound.min(dual_bound(&length, &mut own));
+                stats.path_evals += n_paths as u64;
             }
-            dirty.iter_mut().for_each(|d| *d = false);
-
-            // Serial in-order apply with staleness revalidation.
+            stats.phases += 1;
             for k in 0..n_comm {
-                let demand = self.commodities[k].demand;
+                let demand = cap[n_links + k];
                 if demand <= 0.0 {
                     continue;
                 }
+                let base = comm_ptr[k];
                 loop {
-                    let t = if dirty[k] {
-                        match select(k, &path_len) {
-                            Some(t) => t,
-                            None => break,
-                        }
-                    } else if cand[k] == NONE {
+                    price(k, &length, &mut own);
+                    stats.path_evals += own.len() as u64;
+                    let Some(t) = select(&own, &weight[base..]) else {
                         break;
-                    } else {
-                        cand[k] as usize
                     };
-                    let pid = comm_ptr[k] + t;
-                    let l = path_len[pid];
+                    let l = own[t];
                     if !(l < 1.0 && l < alpha * (1.0 + eps)) {
                         break;
                     }
+                    // A finite length means every capacity on the
+                    // tunnel, and the demand, is positive.
+                    let pid = base + t;
                     let f = route_amount[pid];
-                    if f <= 0.0 {
-                        break;
-                    }
+                    debug_assert!(f > 0.0);
                     flows[k][t] += f;
-                    // Multiplicative length updates, propagated
-                    // additively to every affected path via the
-                    // transpose.
-                    let ve = n_links + k;
-                    let grown = length[ve] * (1.0 + eps * f / demand);
-                    let d = grown - length[ve];
-                    length[ve] = grown;
-                    for pl in &mut path_len[comm_ptr[k]..comm_ptr[k + 1]] {
-                        *pl += d;
-                    }
-                    dirty[k] = true;
+                    stats.steps += 1;
+                    // Multiplicative length updates on the routed
+                    // tunnel's edges only.
+                    length[n_links + k] *= 1.0 + eps * f / demand;
                     for &e in &plinks[ppt[pid]..ppt[pid + 1]] {
-                        let e = e as usize;
-                        let grown = length[e] * (1.0 + eps * f / self.link_capacity[e]);
-                        let d = grown - length[e];
-                        length[e] = grown;
-                        for &p2 in &lpaths[lptr[e]..lptr[e + 1]] {
-                            path_len[p2 as usize] += d;
-                            dirty[comm_of[p2 as usize] as usize] = true;
-                        }
+                        length[e as usize] *= 1.0 + eps * f / cap[e as usize];
                     }
                 }
             }
             alpha *= 1.0 + eps;
         }
+        bound = bound.min(dual_bound(&length, &mut own));
+        stats.path_evals += n_paths as u64;
 
-        // Scale down: raw flows overshoot by log_{1+eps}(1/delta).
-        let scale = ((1.0 / delta).ln() / (1.0 + eps).ln()).max(1.0);
         for f in flows.iter_mut().flat_map(|v| v.iter_mut()) {
             *f /= scale;
         }
-
-        // Numerical safety: clamp any residual overshoot on links and
-        // demands (the theory guarantees feasibility; floating point can
-        // leave ppm-level overage).
         // The multiplicative-weight lengths approximate the duals after
         // normalization by the same scale as the flows.
-        let price_scale = scale.max(1e-12);
         let link_prices: Vec<f64> = length[..n_links]
             .iter()
-            .map(|&l| if l.is_finite() { l / price_scale } else { 0.0 })
+            .map(|&l| if l.is_finite() { l / scale } else { 0.0 })
             .collect();
         let mut sol = McfSolution {
             flows,
@@ -542,6 +524,9 @@ impl McfProblem {
             objective: 0.0,
             link_prices,
         };
+        // Numerical safety: clamp any residual overshoot on links and
+        // demands (the theory guarantees feasibility; floating point can
+        // leave ppm-level overage).
         let loads = sol.link_loads(self);
         let mut worst: f64 = 1.0;
         for (e, &load) in loads.iter().enumerate() {
@@ -574,45 +559,16 @@ impl McfProblem {
                     .sum::<f64>()
             })
             .sum();
-        sol
-    }
-
-    fn edge_cap(&self, e: usize, n_links: usize) -> f64 {
-        if e < n_links {
-            self.link_capacity[e]
-        } else {
-            self.commodities[e - n_links].demand
+        debug_assert!(
+            sol.total_flow <= bound * (1.0 + 1e-9),
+            "flow {} above its dual bound {bound}",
+            sol.total_flow
+        );
+        if bound > 0.0 {
+            stats.gap_ppm = (1e6 * (1.0 - sol.total_flow / bound)) as i64;
         }
+        (sol, stats)
     }
-}
-
-/// Runs `f(offset, chunk)` over contiguous chunks of `data`, on up to
-/// `threads` scoped workers. Every element is computed independently,
-/// so the chunking never changes the values written — callers rely on
-/// this for thread-count determinism. Small inputs run inline to skip
-/// spawn overhead.
-fn par_chunks_mut<T, F>(data: &mut [T], threads: usize, f: &F)
-where
-    T: Send,
-    F: Fn(usize, &mut [T]) + Sync,
-{
-    let n = data.len();
-    if threads <= 1 || n < 4096 {
-        f(0, data);
-        return;
-    }
-    let chunk = n.div_ceil(threads);
-    std::thread::scope(|s| {
-        let mut rest = data;
-        let mut offset = 0usize;
-        while !rest.is_empty() {
-            let take = chunk.min(rest.len());
-            let (head, tail) = rest.split_at_mut(take);
-            s.spawn(move || f(offset, head));
-            offset += take;
-            rest = tail;
-        }
-    });
 }
 
 #[cfg(test)]
@@ -858,42 +814,72 @@ mod tests {
         }
     }
 
+    /// `random_instance(seed)` with one of the degenerate shapes the
+    /// kernel must shrug off folded in (`seed % 6`; 5 leaves it alone).
+    fn degenerate_instance(seed: u64) -> McfProblem {
+        let mut p = random_instance(seed);
+        match seed % 6 {
+            0 => p.link_capacity[0] = 0.0,
+            1 => p.commodities[0].demand = 0.0,
+            2 => {
+                // A tunnel crossing its first link twice.
+                let links = &mut p.commodities[0].paths[0].links;
+                links.push(links[0]);
+            }
+            3 => p.commodities[0].paths.clear(),
+            4 => {
+                // Every commodity through one link.
+                for path in p.commodities.iter_mut().flat_map(|c| &mut c.paths) {
+                    path.links = vec![0];
+                }
+            }
+            _ => {}
+        }
+        p
+    }
+
+    fn assert_same_solution(a: &McfSolution, b: &McfSolution) {
+        assert_eq!(a.flows, b.flows);
+        assert_eq!(a.link_prices, b.link_prices);
+        assert_eq!(a.total_flow.to_bits(), b.total_flow.to_bits());
+        assert_eq!(a.objective.to_bits(), b.objective.to_bits());
+    }
+
+    #[test]
+    fn fptas_within_certified_gap_of_exact_on_random_and_degenerate() {
+        let eps = 0.05;
+        for seed in 0..240u64 {
+            let p = degenerate_instance(seed);
+            let exact = p.solve_exact().unwrap();
+            assert!(p.check_feasible(&exact, 1e-7), "seed {seed}");
+            let (approx, stats) = p.fptas(eps);
+            assert!(p.check_feasible(&approx, 1e-7), "seed {seed}");
+            // Garg–Könemann guarantee is (1-eps)^3-ish; allow slack.
+            assert!(
+                approx.total_flow >= exact.total_flow * (1.0 - 3.5 * eps) - 1e-6
+                    && approx.total_flow <= exact.total_flow + 1e-6,
+                "seed {seed}: approx {} vs exact {}",
+                approx.total_flow,
+                exact.total_flow
+            );
+            // The certificate brackets the same optimum from above.
+            assert!(
+                (0..=(3.5 * eps * 1e6) as i64).contains(&stats.gap_ppm),
+                "seed {seed}: gap {} ppm",
+                stats.gap_ppm
+            );
+            assert_same_solution(&p.solve_fptas_with(eps, 7), &approx);
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
-        #[test]
-        fn fptas_close_to_exact_and_feasible(seed in 0u64..5000) {
-            let p = random_instance(seed);
-            let exact = p.solve_exact().unwrap();
-            prop_assert!(p.check_feasible(&exact, 1e-7));
-            let eps = 0.05;
-            let approx = p.solve_fptas(eps);
-            prop_assert!(p.check_feasible(&approx, 1e-7));
-            // Garg–Könemann guarantee is (1-eps)^3-ish; allow slack.
-            prop_assert!(
-                approx.total_flow >= exact.total_flow * (1.0 - 3.5 * eps) - 1e-6,
-                "approx {} vs exact {}", approx.total_flow, exact.total_flow
-            );
-            prop_assert!(approx.total_flow <= exact.total_flow + 1e-6);
-        }
-
         #[test]
         fn exact_never_exceeds_demand_or_capacity(seed in 0u64..2000) {
             let p = random_instance(seed);
             let s = p.solve_exact().unwrap();
             prop_assert!(p.check_feasible(&s, 1e-7));
             prop_assert!(s.satisfied_ratio(&p) <= 1.0 + 1e-9);
-        }
-
-        #[test]
-        fn fptas_bitwise_deterministic_across_thread_counts(seed in 0u64..800) {
-            let p = random_instance(seed);
-            let one = p.solve_fptas_with(0.1, 1);
-            for threads in [2usize, 4, 7] {
-                let par = p.solve_fptas_with(0.1, threads);
-                prop_assert_eq!(&one.flows, &par.flows, "threads={}", threads);
-                prop_assert_eq!(&one.link_prices, &par.link_prices);
-                prop_assert!(one.total_flow.to_bits() == par.total_flow.to_bits());
-            }
         }
     }
 
@@ -939,11 +925,10 @@ mod tests {
     }
 
     #[test]
-    fn parallel_fptas_spawn_path_matches_inline() {
-        // Enough paths (> 4096) that par_chunks_mut actually spawns
-        // workers instead of running inline.
+    fn thread_argument_is_ignored_on_wide_and_shared_instances() {
+        // Wide: thousands of paths over few links.
         let n_links = 64usize;
-        let p = McfProblem {
+        let wide = McfProblem {
             link_capacity: (0..n_links).map(|e| 50.0 + (e % 7) as f64 * 10.0).collect(),
             commodities: (0..2048)
                 .map(|k| Commodity {
@@ -958,18 +943,9 @@ mod tests {
                 .collect(),
             epsilon_weight: 1e-4,
         };
-        let a = p.solve_fptas_with(0.3, 1);
-        let b = p.solve_fptas_with(0.3, 6);
-        assert_eq!(a.flows, b.flows);
-        assert!(p.check_feasible(&a, 1e-7));
-        assert!(a.total_flow > 0.0);
-    }
-
-    #[test]
-    fn parallel_fptas_matches_single_thread_on_shared_bottleneck() {
         // Dense sharing: every commodity crosses the same two links, so
-        // the staleness revalidation path is exercised hard.
-        let p = McfProblem {
+        // each routing step moves every other commodity's prices.
+        let shared = McfProblem {
             link_capacity: vec![50.0, 80.0, 120.0],
             commodities: (0..12)
                 .map(|k| Commodity {
@@ -988,10 +964,49 @@ mod tests {
                 .collect(),
             epsilon_weight: 1e-4,
         };
-        let a = p.solve_fptas_with(0.05, 1);
-        let b = p.solve_fptas_with(0.05, 8);
-        assert_eq!(a.flows, b.flows);
-        assert!(p.check_feasible(&a, 1e-7));
-        assert!(a.total_flow > 0.0);
+        for (p, eps) in [(wide, 0.3), (shared, 0.05)] {
+            let a = p.solve_fptas(eps);
+            assert_same_solution(&p.solve_fptas_with(eps, 7), &a);
+            assert!(p.check_feasible(&a, 1e-7));
+            assert!(a.total_flow > 0.0);
+        }
+    }
+
+    #[test]
+    fn fptas_work_is_bounded_by_own_tunnels_not_link_fanout() {
+        // TWAN-shaped: 1200 commodities x 4 tunnels of 6-8 links over
+        // 600 links, so a link is crossed by ~56 tunnels. Pricing a
+        // commodity from its own tunnels costs 4 evaluations per visit
+        // and per step; pushing each length update to every tunnel on
+        // the touched links would cost hundreds per step.
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(13);
+        let (n_links, n_comm, per_comm) = (600usize, 1200usize, 4usize);
+        let p = McfProblem {
+            link_capacity: (0..n_links).map(|_| rng.gen_range(200.0..2000.0)).collect(),
+            commodities: (0..n_comm)
+                .map(|_| Commodity {
+                    demand: rng.gen_range(5.0..120.0),
+                    paths: (0..per_comm)
+                        .map(|t| PathSpec {
+                            links: (0..rng.gen_range(6..=8))
+                                .map(|_| rng.gen_range(0..n_links))
+                                .collect(),
+                            weight: 1.0 + t as f64,
+                        })
+                        .collect(),
+                })
+                .collect(),
+            epsilon_weight: 1e-4,
+        };
+        let (sol, stats) = p.fptas(0.05);
+        assert!(p.check_feasible(&sol, 1e-7));
+        assert!(stats.steps > n_comm as u64, "steps {}", stats.steps);
+        let visits = stats.phases * n_comm as u64;
+        assert!(
+            stats.path_evals <= 4 * per_comm as u64 * (stats.steps + visits),
+            "{stats:?}"
+        );
+        assert!((0..=175_000).contains(&stats.gap_ppm), "{stats:?}");
     }
 }

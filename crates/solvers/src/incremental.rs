@@ -476,9 +476,7 @@ impl Core {
                     st.basis = (dirty_pos.len() < npairs).then_some((key, w.basis));
                     w.solution
                 }
-                ResolvedLpMode::Fptas(eps) => {
-                    mcf.solve_fptas_with(eps, scheme.config.threads.max(1))
-                }
+                ResolvedLpMode::Fptas(eps) => mcf.solve_fptas(eps),
             };
             for (j, &k) in dirty_pos.iter().enumerate() {
                 st.site_flows[k] = sol.flows[j].clone();
@@ -621,7 +619,7 @@ impl IncrementalEngine {
     /// Solves the interval, deciding warm-vs-cold from the retained
     /// state, the dirty-set churn, and the forced-cold cadence.
     /// `force_cold` overrides the decision (topology events, external
-    /// churn signals such as the `solver.diff_churn_ppm` gauge).
+    /// churn signals such as the controller's published-path churn).
     pub fn solve(
         &mut self,
         problem: &TeProblem,

@@ -187,10 +187,9 @@ impl MegaTeScheme {
         mcf: &McfProblem,
         mode: ResolvedLpMode,
     ) -> Result<megate_lp::McfSolution, SolveError> {
-        let threads = self.config.threads.max(1);
         match mode {
             ResolvedLpMode::Exact => mcf.solve_exact().map_err(|e| SolveError::Lp(e.to_string())),
-            ResolvedLpMode::Fptas(eps) => Ok(mcf.solve_fptas_with(eps, threads)),
+            ResolvedLpMode::Fptas(eps) => Ok(mcf.solve_fptas(eps)),
         }
     }
 

@@ -48,6 +48,12 @@ cargo test -q -p megate-net --test transport_equivalence
 # A reduced fig_service run: agent fan-out over real sockets must keep
 # every clean-service pull refreshed with p99 inside one 10 s sync period.
 cargo run -q -p megate-bench --release --bin fig_service -- --scale quick
+# The standalone benchmark package binds to public API of the crates
+# (e.g. `McfProblem::solve_fptas_with`) from outside the workspace, so
+# only building it shows a broken seam before the driver does. Same
+# target dir as `benchmark/run.sh`.
+CARGO_TARGET_DIR="${CARGO_TARGET_DIR:-$PWD/target/benchmark}" \
+    cargo test -q --offline --manifest-path benchmark/Cargo.toml
 # Perf drift report vs the committed baselines — informational, never
 # a gate failure here (timing jitter is machine-dependent); pass
 # `--strict PCT` when a hard perf gate is wanted.

@@ -478,3 +478,85 @@ fn disabled_record_path_is_near_free() {
         "disabled trace record path too slow: {trace_elapsed:?}"
     );
 }
+
+/// Cold seed, then one hot site pair's demands jump 5x and stay there
+/// for three intervals. Returns each interval's warm/cold decision and
+/// the path sets it published.
+fn churn_sequence(threshold_ppm: i64) -> (Vec<bool>, Vec<megate_solvers::AllocationPaths>) {
+    let graph = megate_topo::b4();
+    let tunnels = TunnelTable::for_all_pairs(&graph, 3);
+    let catalog = EndpointCatalog::generate(&graph, 1200, WeibullEndpoints::with_scale(40.0), 9);
+    let mut demands = DemandSet::generate(
+        &graph,
+        &catalog,
+        &TrafficConfig {
+            endpoint_pairs: 600,
+            site_pairs: 30,
+            sigma: 0.8,
+            seed: 9,
+            ..Default::default()
+        },
+    );
+    demands.scale_to_load(&graph, 1.3);
+    let mut ctl = Controller::new(
+        graph,
+        tunnels,
+        catalog,
+        TeDatabase::new(2),
+        megate::ControllerConfig {
+            cold_every: 0,
+            warm_churn_max_ppm: threshold_ppm,
+            ..Default::default()
+        },
+    );
+    let mut surged = demands.clone();
+    let hot = surged
+        .pairs()
+        .max_by_key(|&p| surged.indices_for(p).len())
+        .expect("the instance has site pairs");
+    for i in surged.indices_for(hot).to_vec() {
+        let d = surged.demands()[i].demand_mbps;
+        surged.set_demand_mbps(i, d * 5.0);
+    }
+    let mut cold = Vec::new();
+    let mut published = Vec::new();
+    for (n, interval) in [&demands, &surged, &surged, &surged]
+        .into_iter()
+        .enumerate()
+    {
+        let report = ctl.run_interval(interval).expect("interval solves");
+        let engine = report.incremental.expect("no fallback publishes here");
+        cold.push(engine.cold);
+        published.push(ctl.published_paths().clone());
+        if n == 1 {
+            let moved = report.changed_endpoints + report.removed_endpoints;
+            let ppm = moved * 1_000_000 / (moved + report.unchanged_endpoints);
+            assert!(
+                !engine.cold && ppm as i64 > threshold_ppm,
+                "the surge must be a warm interval publishing more than \
+                 {threshold_ppm} ppm churn (cold {}, {ppm} ppm)",
+                engine.cold
+            );
+        }
+    }
+    (cold, published)
+}
+
+/// The controller's warm/cold steering takes published-path churn from
+/// the diff it holds, not from the `solver.diff_churn_ppm` gauge — so
+/// switching metrics off cannot change what gets solved or published.
+#[test]
+fn control_decisions_do_not_depend_on_the_metrics_switch() {
+    let _g = obs_lock();
+    megate_obs::set_enabled(true);
+    let (cold_on, published_on) = churn_sequence(50_000);
+    megate_obs::set_enabled(false);
+    let (cold_off, published_off) = churn_sequence(50_000);
+    megate_obs::set_enabled(true);
+    // Seed cold; the surge is one dirty pair of 27, so warm; its
+    // published churn tops the threshold, forcing the next solve cold;
+    // that clears the hint.
+    assert_eq!(cold_on, [true, false, true, false]);
+    assert_eq!(cold_off, cold_on);
+    assert!(published_off == published_on);
+}
