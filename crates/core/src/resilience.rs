@@ -25,6 +25,7 @@
 
 use crate::config::{decode_delta, decode_paths, ConfigDelta, EndpointConfig};
 use megate_obs::trace::{self, Stage};
+use megate_obs::{Histogram, Lazy};
 use megate_tedb::{Changelog, TeKey};
 
 /// Jittered exponential backoff. Delay for attempt `k` (0-based) is
@@ -301,15 +302,18 @@ impl CatchUp {
             endpoint,
             latency.unwrap_or(0),
         );
+        static DEGRADED: Lazy<Histogram> = Lazy::histogram("propagation.latency.degraded");
+        static SNAPSHOT: Lazy<Histogram> = Lazy::histogram("propagation.latency.snapshot");
+        static DELTA: Lazy<Histogram> = Lazy::histogram("propagation.latency.delta");
         let path = if was_degraded {
-            "propagation.latency.degraded"
+            &DEGRADED
         } else if via_snapshot {
-            "propagation.latency.snapshot"
+            &SNAPSHOT
         } else {
-            "propagation.latency.delta"
+            &DELTA
         };
         if let Some(ns) = latency {
-            megate_obs::histogram(path).record(ns);
+            path.record(ns);
         }
     }
 }

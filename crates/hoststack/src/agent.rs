@@ -163,21 +163,17 @@ impl EndpointAgent {
     /// leaving `path_map` exactly as if the instance had been
     /// configured from scratch. Entries of other instances are
     /// untouched. Returns how many entries were written.
-    ///
-    /// (The stale-entry sweep scans the map — fine for a per-host map;
-    /// a real agent keeps its installed key set and deletes directly.)
     pub fn install_snapshot(
         &mut self,
         version: u64,
         instance: InstanceId,
         paths: &[PathInstall],
     ) -> usize {
-        let keep: std::collections::HashSet<[u8; 4]> = paths.iter().map(|p| p.dst_ip).collect();
-        for (key, _) in self.maps.path_map.snapshot() {
-            if key.0 == instance && !keep.contains(&key.1) {
-                let _ = self.maps.path_map.delete(&key);
-            }
-        }
+        let mut keep: Vec<[u8; 4]> = paths.iter().map(|p| p.dst_ip).collect();
+        keep.sort_unstable();
+        self.maps
+            .path_map
+            .retain_instance(instance, |dst| keep.binary_search(dst).is_ok());
         self.install_config(version, paths)
     }
 
@@ -213,7 +209,7 @@ impl EndpointAgent {
 
 /// One `path_map` entry as returned by snapshots: the `(instance,
 /// destination)` key and its SR hop list.
-pub type PathMapEntry = ((InstanceId, [u8; 4]), Vec<u32>);
+pub type PathMapEntry = (crate::maps::PathKey, Vec<u32>);
 
 /// Registers a fresh instance lifecycle on a kernel: process start +
 /// first connection. Convenience for simulations that bring up many

@@ -171,12 +171,7 @@ impl SimKernel {
                 }
             }
         }
-        for ((ins, dst), _) in self.maps.path_map.snapshot() {
-            if ins == instance && self.maps.path_map.delete(&(ins, dst)).is_ok() {
-                removed += 1;
-            }
-        }
-        removed
+        removed + self.maps.path_map.retain_instance(instance, |_| false)
     }
 
     /// Runs the TC egress chain on a frame: flow collection then SR

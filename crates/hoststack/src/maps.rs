@@ -8,8 +8,9 @@
 //! behaviour), point lookups, and shared access from both the simulated
 //! kernel and the user-space agent.
 
+use crate::kernel::InstanceId;
 use parking_lot::RwLock;
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 use std::hash::Hash;
 use std::sync::Arc;
 
@@ -263,6 +264,104 @@ impl<K: Eq + Hash + Clone, V: Clone> EbpfMap<K, V> {
             .collect();
         self.occupancy.sub(out.len() as i64);
         out
+    }
+}
+
+/// A `path_map` key: the instance whose packets get the path and the
+/// destination address it applies to.
+pub type PathKey = (InstanceId, [u8; 4]);
+
+/// `path_map`: `(ins_id, dst_ip) → SR hop list`, plus an ordered index
+/// of its keys so one instance's entries can be found without walking
+/// the table.
+///
+/// The hash table is the [`EbpfMap`] the TC program reads per packet;
+/// [`lookup`](Self::lookup) touches nothing else. Every write takes the
+/// index lock first and holds it across the table write, so writers are
+/// serialized and the index equals the table's key set whenever no
+/// write is in flight. Clones share both.
+#[derive(Debug, Clone)]
+pub struct PathMap {
+    table: EbpfMap<PathKey, Vec<u32>>,
+    keys: Arc<parking_lot::Mutex<BTreeSet<PathKey>>>,
+}
+
+impl PathMap {
+    /// An empty plain-hash `path_map` with a capacity bound.
+    pub fn new(name: &'static str, max_entries: usize) -> Self {
+        Self {
+            table: EbpfMap::new(name, max_entries),
+            keys: Arc::default(),
+        }
+    }
+
+    /// Current entry count.
+    pub fn len(&self) -> usize {
+        self.table.len()
+    }
+
+    /// True when empty.
+    pub fn is_empty(&self) -> bool {
+        self.table.is_empty()
+    }
+
+    /// The per-packet point lookup: the hash table only.
+    pub fn lookup(&self, key: &PathKey) -> Option<Vec<u32>> {
+        self.table.lookup(key)
+    }
+
+    /// Insert-or-overwrite; a full map rejects a new key with
+    /// [`MapError::Full`] and changes nothing.
+    pub fn update(&self, key: PathKey, hops: Vec<u32>) -> Result<(), MapError> {
+        let mut keys = self.keys.lock();
+        self.table.update(key, hops)?;
+        keys.insert(key);
+        Ok(())
+    }
+
+    /// Deletes an entry.
+    pub fn delete(&self, key: &PathKey) -> Result<Vec<u32>, MapError> {
+        let mut keys = self.keys.lock();
+        keys.remove(key);
+        self.table.delete(key)
+    }
+
+    /// Deletes the entries of `instance` whose destination `keep`
+    /// rejects, visiting only that instance's keys. Returns how many
+    /// were deleted.
+    pub fn retain_instance(
+        &self,
+        instance: InstanceId,
+        mut keep: impl FnMut(&[u8; 4]) -> bool,
+    ) -> usize {
+        let mut keys = self.keys.lock();
+        let stale: Vec<PathKey> = keys
+            .range((instance, [0; 4])..=(instance, [u8::MAX; 4]))
+            .filter(|(_, dst)| !keep(dst))
+            .copied()
+            .collect();
+        for key in &stale {
+            keys.remove(key);
+            let _ = self.table.delete(key);
+        }
+        stale.len()
+    }
+
+    /// Snapshot of all entries, in table (unspecified) order.
+    pub fn snapshot(&self) -> Vec<(PathKey, Vec<u32>)> {
+        self.table.snapshot()
+    }
+
+    /// The key index, ascending.
+    pub fn keys(&self) -> Vec<PathKey> {
+        self.keys.lock().iter().copied().collect()
+    }
+
+    /// Removes and returns all entries.
+    pub fn drain(&self) -> Vec<(PathKey, Vec<u32>)> {
+        let mut keys = self.keys.lock();
+        keys.clear();
+        self.table.drain()
     }
 }
 

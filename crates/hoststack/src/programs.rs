@@ -8,7 +8,7 @@
 
 use crate::batch::{BatchSummary, CpuShard};
 use crate::kernel::{InstanceId, Pid, TcStats, TcVerdict};
-use crate::maps::{EbpfMap, MapError};
+use crate::maps::{EbpfMap, MapError, PathMap};
 use megate_packet::{
     insert_sr_header, parse_megate_frame, srheader::MAX_HOPS, FiveTuple, FlowKey, FrameBatch,
     FrameDescriptor, Result as WireResult,
@@ -31,7 +31,7 @@ pub struct HostMaps {
     /// `(ins_id, dst_ip) → SR hop list`, the TE decision installed by
     /// the endpoint agent. The paper keys by instance; the destination
     /// address disambiguates instances talking to several remote sites.
-    pub path_map: EbpfMap<(InstanceId, [u8; 4]), Vec<u32>>,
+    pub path_map: PathMap,
     /// Perf-event ring: per-event telemetry (new flows, SR insertions,
     /// accounting misses) streamed to user space.
     pub telemetry: crate::ringbuf::RingBuffer,
@@ -94,7 +94,7 @@ impl HostMaps {
             inf_map: EbpfMap::new("inf_map", 262_144),
             traffic_map: EbpfMap::new_lru("traffic_map", 262_144),
             frag_map: EbpfMap::new_lru("frag_map", 16_384),
-            path_map: EbpfMap::new("path_map", 262_144),
+            path_map: PathMap::new("path_map", 262_144),
             telemetry: crate::ringbuf::RingBuffer::new(65_536),
             tc_metrics: TcMetrics::new(),
         }

@@ -13,9 +13,10 @@
 //! * the budget is charged with **wall-clock time** — injected shard
 //!   latency arrives as actual service delay, and transport stalls
 //!   (slow-loris) burn budget exactly like slow shards;
-//! * every network read is capped by the budget's remaining time via
-//!   [`timeout`], so a stalled response can cost at most the rest of
-//!   this period's budget, never block the agent across periods;
+//! * every attempt is capped by the budget's remaining time via one
+//!   [`timeout`] around its version poll and ladder, so a stalled
+//!   response can cost at most the rest of this period's budget, never
+//!   block the agent across periods;
 //! * each attempt polls the partition's version itself (the in-process
 //!   harness polls once per partition for the whole fleet).
 
@@ -26,8 +27,12 @@ use megate::config::{ConfigDelta, EndpointConfig};
 use megate::resilience::{
     InstallTarget, PullLadder, PullPolicy, PullRead, PullStep, StalenessClock,
 };
+use megate_obs::{Counter, Histogram, Lazy};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+static PULL_LATENCY_NS: Lazy<Histogram> = Lazy::histogram("net.pull_latency_ns");
+static PULL_TIMEOUTS: Lazy<Counter> = Lazy::counter("net.pull_timeouts");
 
 /// What one sync period's pull accomplished.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -131,7 +136,20 @@ impl Agent {
             if delay > 0 {
                 Sleep::after(Duration::from_nanos(delay)).await;
             }
-            let (fresh, snapshot) = self.attempt(client, deadline).await;
+            // One deadline for the whole attempt. Dropping it mid-way
+            // loses nothing: the ladder installs only once every read
+            // of its plan is in.
+            let remaining = deadline.saturating_duration_since(Instant::now());
+            let (fresh, snapshot) = if remaining.is_zero() {
+                (false, false)
+            } else {
+                timeout(remaining, self.attempt(client))
+                    .await
+                    .unwrap_or_else(|| {
+                        PULL_TIMEOUTS.inc();
+                        (false, false)
+                    })
+            };
             (refreshed, via_snapshot) = (fresh, via_snapshot | snapshot);
             if refreshed {
                 break;
@@ -140,7 +158,7 @@ impl Agent {
         }
         let elapsed = start.elapsed();
         if refreshed {
-            megate_obs::histogram("net.pull_latency_ns").record(elapsed.as_nanos() as u64);
+            PULL_LATENCY_NS.record(elapsed.as_nanos() as u64);
         } else {
             megate_obs::counter("net.pull_stale_periods").inc();
         }
@@ -173,11 +191,11 @@ impl Agent {
     /// One attempt: version poll, then the catch-up ladder when the
     /// published version is ahead. Returns whether the agent now holds
     /// the version it observed, and whether it went via the snapshot.
-    async fn attempt(&mut self, client: &Arc<NetClient>, deadline: Instant) -> (bool, bool) {
+    async fn attempt(&mut self, client: &Arc<NetClient>) -> (bool, bool) {
         let poll = Request::GetVersion {
             partition: self.partition,
         };
-        let target = match request_until(client, poll, deadline).await {
+        let target = match read(client, poll).await {
             Some(Response::VersionIs { version }) => version.unwrap_or(0),
             _ => return (false, false),
         };
@@ -186,7 +204,7 @@ impl Agent {
         }
         let (mut ladder, mut step) = PullLadder::start(self.endpoint, self.version, target);
         while let PullStep::Read(key) = step {
-            step = ladder.on_read(match request_until(client, key.into(), deadline).await {
+            step = ladder.on_read(match read(client, key.into()).await {
                 Some(Response::Record { value, .. }) => {
                     value.map_or(PullRead::Missing, PullRead::Value)
                 }
@@ -202,24 +220,11 @@ impl Agent {
     }
 }
 
-/// One request capped by the period budget's remaining time. Every
-/// failure class — outage error, CRC failure, connection break,
-/// timeout — is the same `None`.
-async fn request_until(
-    client: &Arc<NetClient>,
-    req: Request,
-    deadline: Instant,
-) -> Option<Response> {
-    let remaining = deadline.saturating_duration_since(Instant::now());
-    if remaining.is_zero() {
-        return None;
-    }
-    match timeout(remaining, client.request(&req)).await {
-        Some(Ok(Response::Error { .. })) | Some(Err(_)) => None,
-        Some(Ok(resp)) => Some(resp),
-        None => {
-            megate_obs::counter("net.pull_timeouts").inc();
-            None
-        }
+/// One request. Every failure class — outage error, CRC failure,
+/// connection break — is the same `None`.
+async fn read(client: &Arc<NetClient>, req: Request) -> Option<Response> {
+    match client.request(&req).await {
+        Ok(Response::Error { .. }) | Err(_) => None,
+        Ok(resp) => Some(resp),
     }
 }

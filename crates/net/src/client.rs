@@ -8,8 +8,9 @@
 //! connections, round-robins requests across them, and routes each
 //! response back to its waiting caller by id. Per connection there is
 //! one writer task draining an outbox (so frames from concurrent
-//! callers never interleave mid-frame) and one reader task parsing
-//! responses and completing the matching oneshot.
+//! callers never interleave mid-frame, and everything queued between
+//! two writes shares one) and one reader task parsing every response a
+//! read brought in and completing the matching oneshots.
 //!
 //! Failure handling is per-request and per-connection:
 //!
@@ -23,11 +24,11 @@
 
 use crate::exec::Executor;
 use crate::frame::{
-    self, encode_request, read_frame_unchecked, FrameError, Request, Response, DEFAULT_MAX_BODY,
+    self, encode_request_into, FrameError, FrameReader, Request, Response, DEFAULT_MAX_BODY,
 };
 use crate::io::{AsyncStream, Endpoint};
 use parking_lot::Mutex;
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::task::{Poll, Waker};
@@ -73,46 +74,51 @@ impl<T> Oneshot<T> {
     }
 }
 
-// ---- outbox: multi-producer frame queue drained by the writer task ----
+// ---- outbox: multi-producer frame buffer drained by the writer task ----
 
+/// Request frames encoded back to back, waiting for the writer task.
+#[derive(Default)]
 struct Outbox {
-    queue: Mutex<(VecDeque<Vec<u8>>, Option<Waker>, bool)>,
+    queue: Mutex<OutboxQueue>,
+}
+
+#[derive(Default)]
+struct OutboxQueue {
+    frames: Vec<u8>,
+    writer: Option<Waker>,
+    closed: bool,
 }
 
 impl Outbox {
-    fn new() -> Self {
-        Self {
-            queue: Mutex::new((VecDeque::new(), None, false)),
-        }
-    }
-
-    fn push(&self, frame: Vec<u8>) {
+    fn push(&self, req: &Request, request_id: u64) {
         let mut g = self.queue.lock();
-        g.0.push_back(frame);
-        if let Some(w) = g.1.take() {
+        encode_request_into(&mut g.frames, req, request_id);
+        if let Some(w) = g.writer.take() {
             w.wake();
         }
     }
 
     fn close(&self) {
         let mut g = self.queue.lock();
-        g.2 = true;
-        if let Some(w) = g.1.take() {
+        g.closed = true;
+        if let Some(w) = g.writer.take() {
             w.wake();
         }
     }
 
-    /// Next frame to write, or `None` when the outbox is closed.
-    async fn pop(&self) -> Option<Vec<u8>> {
+    /// Swaps every queued frame into the (empty) `batch`, waiting for
+    /// one when the outbox is empty; `false` once it is closed.
+    async fn take(&self, batch: &mut Vec<u8>) -> bool {
         std::future::poll_fn(|cx| {
             let mut g = self.queue.lock();
-            if let Some(f) = g.0.pop_front() {
-                return Poll::Ready(Some(f));
+            if !g.frames.is_empty() {
+                std::mem::swap(&mut g.frames, batch);
+                return Poll::Ready(true);
             }
-            if g.2 {
-                return Poll::Ready(None);
+            if g.closed {
+                return Poll::Ready(false);
             }
-            g.1 = Some(cx.waker().clone());
+            g.writer = Some(cx.waker().clone());
             Poll::Pending
         })
         .await
@@ -230,7 +236,7 @@ impl NetClient {
             conn.pending.lock().remove(&id);
             return Err(FrameError::Io(std::io::ErrorKind::BrokenPipe));
         }
-        conn.outbox.push(encode_request(req, id));
+        conn.outbox.push(req, id);
         rx.recv().await
     }
 
@@ -285,44 +291,50 @@ impl NetClient {
         let stream = Arc::new(stream);
         let conn = Arc::new(Conn {
             stream: stream.clone(),
-            outbox: Outbox::new(),
+            outbox: Outbox::default(),
             pending: Mutex::new(HashMap::new()),
             broken: AtomicBool::new(false),
         });
 
-        // Writer task: drain the outbox one frame at a time.
+        // Writer task: everything queued since the last write goes out
+        // in one write (the two buffers trade places, so neither is
+        // reallocated).
         let (c, s) = (conn.clone(), stream.clone());
         self.exec.spawn(async move {
-            while let Some(frame) = c.outbox.pop().await {
-                if s.write_all(&frame).await.is_err() {
+            let mut batch = Vec::new();
+            while c.outbox.take(&mut batch).await {
+                if s.write_all(&batch).await.is_err() {
                     c.kill(FrameError::Io(std::io::ErrorKind::BrokenPipe));
                     return;
                 }
+                batch.clear();
             }
         });
 
         // Reader task: route responses to their oneshot by request id.
         let (c, s) = (conn.clone(), stream.clone());
         self.exec.spawn(async move {
+            static CRC_FAILURES: megate_obs::Lazy<megate_obs::Counter> =
+                megate_obs::Lazy::counter("net.client_crc_failures");
+            let mut reader = FrameReader::new(DEFAULT_MAX_BODY);
             loop {
-                match read_frame_unchecked(&s, DEFAULT_MAX_BODY).await {
-                    Ok((hdr, Some(body))) => {
-                        let result = Response::decode(hdr.op, &body).ok_or(FrameError::Malformed);
-                        if let Some(tx) = c.pending.lock().remove(&hdr.request_id) {
-                            tx.send(result);
-                        }
-                    }
+                let (id, result) = match reader.next(&s).await {
+                    Ok((hdr, Some(body))) => (
+                        hdr.request_id,
+                        Response::decode(hdr.op, body).ok_or(FrameError::Malformed),
+                    ),
                     Ok((hdr, None)) => {
                         // Corrupted body; the stream is still aligned.
-                        megate_obs::counter("net.client_crc_failures").inc();
-                        if let Some(tx) = c.pending.lock().remove(&hdr.request_id) {
-                            tx.send(Err(FrameError::BadCrc));
-                        }
+                        CRC_FAILURES.inc();
+                        (hdr.request_id, Err(FrameError::BadCrc))
                     }
                     Err(e) => {
                         c.kill(e);
                         return;
                     }
+                };
+                if let Some(tx) = c.pending.lock().remove(&id) {
+                    tx.send(result);
                 }
             }
         });
@@ -345,13 +357,13 @@ impl NetClient {
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         let (tx, rx) = Oneshot::new();
         conn.pending.lock().insert(id, tx);
-        conn.outbox.push(encode_request(
+        conn.outbox.push(
             &Request::Hello {
                 min_version: frame::PROTOCOL_VERSION,
                 max_version: frame::PROTOCOL_VERSION,
             },
             id,
-        ));
+        );
         match rx.recv().await? {
             Response::HelloOk { .. } => {
                 guard.0 = None;

@@ -33,9 +33,18 @@ struct Task {
 }
 
 struct Inner {
-    queue: Mutex<VecDeque<Arc<Task>>>,
+    queue: Mutex<RunQueue>,
     cv: Condvar,
     live: AtomicUsize,
+}
+
+#[derive(Default)]
+struct RunQueue {
+    tasks: VecDeque<Arc<Task>>,
+    /// Workers waiting on the condvar. Changed only under the queue
+    /// lock, so a push either sees the worker it must wake or happens
+    /// before that worker's emptiness check.
+    parked: usize,
 }
 
 /// Handle to the executor; clones share the worker pool.
@@ -49,8 +58,16 @@ impl Task {
         let Some(exec) = self.exec.upgrade() else {
             return;
         };
-        exec.queue.lock().unwrap().push_back(self.clone());
-        exec.cv.notify_one();
+        let wake = {
+            let mut q = exec.queue.lock().unwrap();
+            q.tasks.push_back(self.clone());
+            q.parked > 0
+        };
+        // With every worker busy there is nobody to notify: whichever
+        // finishes its poll first pops this task without a futex call.
+        if wake {
+            exec.cv.notify_one();
+        }
     }
 
     fn wake_task(self: &Arc<Self>) {
@@ -110,7 +127,7 @@ impl Executor {
     /// Starts an executor with `workers` polling threads (min 1).
     pub fn new(workers: usize) -> Self {
         let inner = Arc::new(Inner {
-            queue: Mutex::new(VecDeque::new()),
+            queue: Mutex::new(RunQueue::default()),
             cv: Condvar::new(),
             live: AtomicUsize::new(0),
         });
@@ -179,18 +196,17 @@ fn worker_loop(weak: &Weak<Inner>) {
         // let its Inner drop so the wind-down is observable.
         let Some(inner) = weak.upgrade() else { return };
         let task = {
-            let q = inner.queue.lock().unwrap();
-            let mut q = match q.is_empty() {
-                false => q,
-                true => {
-                    inner
-                        .cv
-                        .wait_timeout(q, std::time::Duration::from_millis(200))
-                        .unwrap()
-                        .0
-                }
-            };
-            match q.pop_front() {
+            let mut q = inner.queue.lock().unwrap();
+            if q.tasks.is_empty() {
+                q.parked += 1;
+                q = inner
+                    .cv
+                    .wait_timeout(q, std::time::Duration::from_millis(200))
+                    .unwrap()
+                    .0;
+                q.parked -= 1;
+            }
+            match q.tasks.pop_front() {
                 Some(t) => t,
                 None => continue,
             }
@@ -262,6 +278,92 @@ mod tests {
             Sleep::after(Duration::from_millis(30)).await;
         });
         assert!(t0.elapsed() >= Duration::from_millis(30));
+    }
+
+    /// A task and a thread outside the pool hand a baton back and forth
+    /// 100 000 times per pool size (200 000 wakes into the pool in
+    /// all). While the thread holds it every worker parks (or
+    /// is about to), so each handoff back is a wake racing a worker
+    /// into its condvar wait — the reactor thread's position. A wake
+    /// that missed a parking worker would sit out the 200 ms
+    /// `wait_timeout` backstop; none may. (With a lone worker the race
+    /// has nobody else to hide behind.)
+    #[test]
+    fn wakes_from_outside_the_pool_never_wait_for_the_backstop() {
+        for workers in [1, 2] {
+            handoffs_never_wait_for_the_backstop(workers);
+        }
+    }
+
+    fn handoffs_never_wait_for_the_backstop(workers: usize) {
+        const HANDOFFS: u64 = 100_000;
+        struct Baton {
+            /// Even: the task's turn. Odd: the thread's.
+            turn: u64,
+            task: Option<Waker>,
+        }
+        let exec = Executor::new(workers);
+        let baton = Arc::new((
+            Mutex::new(Baton {
+                turn: 0,
+                task: None,
+            }),
+            Condvar::new(),
+        ));
+        let b = baton.clone();
+        exec.spawn(async move {
+            let (baton, thread_turn) = &*b;
+            loop {
+                let mine = std::future::poll_fn(|cx| {
+                    let mut b = baton.lock().unwrap();
+                    if b.turn >= HANDOFFS {
+                        Poll::Ready(false)
+                    } else if b.turn % 2 == 0 {
+                        Poll::Ready(true)
+                    } else {
+                        b.task = Some(cx.waker().clone());
+                        Poll::Pending
+                    }
+                })
+                .await;
+                if !mine {
+                    return;
+                }
+                baton.lock().unwrap().turn += 1;
+                thread_turn.notify_one();
+            }
+        });
+
+        let (baton, my_turn) = &*baton;
+        let mut last = std::time::Instant::now();
+        let mut longest_wait = Duration::ZERO;
+        loop {
+            let mut b = baton.lock().unwrap();
+            while b.turn % 2 == 0 && b.turn < HANDOFFS {
+                b = my_turn.wait(b).unwrap();
+            }
+            longest_wait = longest_wait.max(last.elapsed());
+            last = std::time::Instant::now();
+            // One lost wake is enough to fail; don't sit out the rest.
+            if b.turn >= HANDOFFS || longest_wait >= Duration::from_millis(150) {
+                b.turn = HANDOFFS;
+            } else {
+                b.turn += 1;
+            }
+            let done = b.turn >= HANDOFFS;
+            let task = b.task.take();
+            drop(b);
+            if let Some(w) = task {
+                w.wake();
+            }
+            if done {
+                break;
+            }
+        }
+        assert!(
+            longest_wait < Duration::from_millis(150),
+            "{workers} worker(s): a handoff waited {longest_wait:?}, so a wake was lost to the backstop"
+        );
     }
 
     #[test]

@@ -177,22 +177,27 @@ impl Request {
 
     /// Encodes the op-specific body.
     pub fn encode_body(&self) -> Vec<u8> {
+        let mut b = Vec::new();
+        self.encode_body_into(&mut b);
+        b
+    }
+
+    /// Appends the op-specific body to `out`.
+    pub fn encode_body_into(&self, out: &mut Vec<u8>) {
         match *self {
             Request::Hello {
                 min_version,
                 max_version,
-            } => vec![min_version, max_version],
-            Request::GetVersion { partition } => partition.to_be_bytes().to_vec(),
+            } => out.extend_from_slice(&[min_version, max_version]),
+            Request::GetVersion { partition } => out.extend_from_slice(&partition.to_be_bytes()),
             Request::GetChangelog { endpoint } | Request::GetSnapshot { endpoint } => {
-                endpoint.to_be_bytes().to_vec()
+                out.extend_from_slice(&endpoint.to_be_bytes())
             }
             Request::GetDelta { endpoint, version } => {
-                let mut b = Vec::with_capacity(16);
-                b.extend_from_slice(&endpoint.to_be_bytes());
-                b.extend_from_slice(&version.to_be_bytes());
-                b
+                out.extend_from_slice(&endpoint.to_be_bytes());
+                out.extend_from_slice(&version.to_be_bytes());
             }
-            Request::Ping => Vec::new(),
+            Request::Ping => {}
         }
     }
 
@@ -281,35 +286,36 @@ impl Response {
 
     /// Encodes the op-specific body.
     pub fn encode_body(&self) -> Vec<u8> {
+        let mut b = Vec::new();
+        self.encode_body_into(&mut b);
+        b
+    }
+
+    /// Appends the op-specific body to `out`.
+    pub fn encode_body_into(&self, out: &mut Vec<u8>) {
         match self {
-            Response::HelloOk { version } => vec![*version],
+            Response::HelloOk { version } => out.push(*version),
             Response::VersionIs { version } => match version {
                 Some(v) => {
-                    let mut b = Vec::with_capacity(9);
-                    b.push(1);
-                    b.extend_from_slice(&v.to_be_bytes());
-                    b
+                    out.push(1);
+                    out.extend_from_slice(&v.to_be_bytes());
                 }
-                None => vec![0],
+                None => out.push(0),
             },
             Response::Record { value, .. } => match value {
                 Some(v) => {
-                    let mut b = Vec::with_capacity(1 + v.len());
-                    b.push(1);
-                    b.extend_from_slice(v);
-                    b
+                    out.push(1);
+                    out.extend_from_slice(v);
                 }
-                None => vec![0],
+                None => out.push(0),
             },
-            Response::Pong => Vec::new(),
+            Response::Pong => {}
             Response::Error { code, detail } => {
                 let d = detail.as_bytes();
                 let d = &d[..d.len().min(u16::MAX as usize)];
-                let mut b = Vec::with_capacity(4 + d.len());
-                b.extend_from_slice(&(*code as u16).to_be_bytes());
-                b.extend_from_slice(&(d.len() as u16).to_be_bytes());
-                b.extend_from_slice(d);
-                b
+                out.extend_from_slice(&(*code as u16).to_be_bytes());
+                out.extend_from_slice(&(d.len() as u16).to_be_bytes());
+                out.extend_from_slice(d);
             }
         }
     }
@@ -378,26 +384,69 @@ pub fn crc32_fnv(data: &[u8]) -> u32 {
 /// read).
 pub fn encode_frame(op_byte: u8, request_id: u64, body: &[u8], corrupt_crc: bool) -> Vec<u8> {
     let mut f = Vec::with_capacity(HEADER_LEN + body.len());
-    f.extend_from_slice(&MAGIC.to_be_bytes());
-    f.push(PROTOCOL_VERSION);
-    f.push(op_byte);
-    f.extend_from_slice(&request_id.to_be_bytes());
-    f.extend_from_slice(&(body.len() as u32).to_be_bytes());
-    let crc = crc32_fnv(body) ^ if corrupt_crc { 0xFFFF_FFFF } else { 0 };
-    f.extend_from_slice(&crc.to_be_bytes());
-    f.extend_from_slice(body);
+    encode_frame_into(&mut f, op_byte, request_id, corrupt_crc, |f| {
+        f.extend_from_slice(body)
+    });
     f
+}
+
+/// Appends a full frame to `out`: the header, then whatever `body`
+/// appends, with the length and checksum fields filled in afterwards —
+/// so a batch of frames is built in one buffer with no per-frame
+/// allocation.
+pub fn encode_frame_into(
+    out: &mut Vec<u8>,
+    op_byte: u8,
+    request_id: u64,
+    corrupt_crc: bool,
+    body: impl FnOnce(&mut Vec<u8>),
+) {
+    let at = out.len();
+    out.extend_from_slice(&MAGIC.to_be_bytes());
+    out.push(PROTOCOL_VERSION);
+    out.push(op_byte);
+    out.extend_from_slice(&request_id.to_be_bytes());
+    out.extend_from_slice(&[0; 8]); // body_len, body_crc
+    body(out);
+    let body_at = at + HEADER_LEN;
+    let len = (out.len() - body_at) as u32;
+    let crc = crc32_fnv(&out[body_at..]) ^ if corrupt_crc { 0xFFFF_FFFF } else { 0 };
+    out[at + 12..at + 16].copy_from_slice(&len.to_be_bytes());
+    out[at + 16..body_at].copy_from_slice(&crc.to_be_bytes());
 }
 
 /// Encodes a request frame.
 pub fn encode_request(req: &Request, request_id: u64) -> Vec<u8> {
-    encode_frame(req.op(), request_id, &req.encode_body(), false)
+    let mut f = Vec::new();
+    encode_request_into(&mut f, req, request_id);
+    f
+}
+
+/// Appends a request frame to `out`.
+pub fn encode_request_into(out: &mut Vec<u8>, req: &Request, request_id: u64) {
+    encode_frame_into(out, req.op(), request_id, false, |b| {
+        req.encode_body_into(b)
+    });
 }
 
 /// Encodes a response frame. `corrupt_crc` models a corrupted DB read
 /// forwarded under a failing transport checksum.
 pub fn encode_response(resp: &Response, request_id: u64, corrupt_crc: bool) -> Vec<u8> {
-    encode_frame(resp.op(), request_id, &resp.encode_body(), corrupt_crc)
+    let mut f = Vec::new();
+    encode_response_into(&mut f, resp, request_id, corrupt_crc);
+    f
+}
+
+/// Appends a response frame to `out`.
+pub fn encode_response_into(
+    out: &mut Vec<u8>,
+    resp: &Response,
+    request_id: u64,
+    corrupt_crc: bool,
+) {
+    encode_frame_into(out, resp.op(), request_id, corrupt_crc, |b| {
+        resp.encode_body_into(b)
+    });
 }
 
 /// A parsed frame header.
@@ -476,28 +525,134 @@ pub fn decode_header(bytes: &[u8; HEADER_LEN], max_body: u32) -> Result<Header, 
     })
 }
 
+/// [`decode_header`] plus the version check every reader applies: a
+/// frame of another protocol version is refused before its body.
+fn accept_header(bytes: &[u8; HEADER_LEN], max_body: u32) -> Result<Header, FrameError> {
+    let h = decode_header(bytes, max_body)?;
+    if h.version != PROTOCOL_VERSION {
+        return Err(FrameError::BadVersion(h.version));
+    }
+    Ok(h)
+}
+
 /// Reads one frame (header + body) off a stream without enforcing the
 /// body checksum: the body is `None` when the checksum failed. Because
 /// the full declared body is consumed either way, the stream stays
 /// frame-aligned after a checksum failure — callers can keep the
 /// connection and fail only the one request (the `request_id` is in
 /// the returned header).
+///
+/// Two reads per frame and a fresh body allocation: the simple reader
+/// that [`FrameReader`] is tested against. The client and the server
+/// read through [`FrameReader`].
 pub async fn read_frame_unchecked(
     stream: &crate::io::AsyncStream,
     max_body: u32,
 ) -> Result<(Header, Option<Vec<u8>>), FrameError> {
     let mut hdr = [0u8; HEADER_LEN];
     read_exact_frame(stream, &mut hdr).await?;
-    let h = decode_header(&hdr, max_body)?;
-    if h.version != PROTOCOL_VERSION {
-        return Err(FrameError::BadVersion(h.version));
-    }
+    let h = accept_header(&hdr, max_body)?;
     let mut body = vec![0u8; h.body_len as usize];
     read_exact_frame(stream, &mut body).await?;
     if crc32_fnv(&body) != h.body_crc {
         return Ok((h, None));
     }
     Ok((h, Some(body)))
+}
+
+/// Bytes a [`FrameReader`] asks the socket for at a time.
+const READ_BUF: usize = 64 * 1024;
+
+/// A buffered frame reader: one `read` into a reused buffer yields
+/// every complete frame it brought in, so a peer that pipelines
+/// requests (or a server that answers a batch) costs one syscall per
+/// batch rather than two per frame. Frame for frame it returns what
+/// [`read_frame_unchecked`] would, errors included.
+///
+/// The buffer is 64 KiB; it grows only while a single body
+/// larger than that (still capped by `max_body`) is in flight, and
+/// shrinks back afterwards.
+pub struct FrameReader {
+    buf: Vec<u8>,
+    /// Unparsed bytes are `buf[start..end]`.
+    start: usize,
+    end: usize,
+    max_body: u32,
+}
+
+impl FrameReader {
+    /// A reader refusing bodies over `max_body` bytes.
+    pub fn new(max_body: u32) -> Self {
+        Self {
+            buf: vec![0; READ_BUF],
+            start: 0,
+            end: 0,
+            max_body,
+        }
+    }
+
+    /// The header at the parse position, once all of it is buffered.
+    fn peek_header(&self) -> Option<Result<Header, FrameError>> {
+        let bytes = self.buf[self.start..self.end].first_chunk::<HEADER_LEN>()?;
+        Some(accept_header(bytes, self.max_body))
+    }
+
+    /// Whether [`next`](Self::next) would return without reading the
+    /// socket: a complete frame, or a header it refuses, is buffered.
+    pub fn has_frame(&self) -> bool {
+        match self.peek_header() {
+            None => false,
+            Some(Err(_)) => true,
+            Some(Ok(h)) => self.end - self.start >= HEADER_LEN + h.body_len as usize,
+        }
+    }
+
+    /// The next frame: its header and its body, `None` when the body
+    /// checksum failed (the frame is consumed either way, so the
+    /// stream stays aligned). Reads the socket only when no complete
+    /// frame is buffered.
+    pub async fn next(
+        &mut self,
+        stream: &crate::io::AsyncStream,
+    ) -> Result<(Header, Option<&[u8]>), FrameError> {
+        let header = loop {
+            let want = match self.peek_header() {
+                None => HEADER_LEN,
+                Some(h) => {
+                    let h = h?;
+                    let frame_len = HEADER_LEN + h.body_len as usize;
+                    if self.end - self.start >= frame_len {
+                        break h;
+                    }
+                    frame_len
+                }
+            };
+            self.make_room(want);
+            match stream.read(&mut self.buf[self.end..]).await {
+                Ok(0) => return Err(FrameError::Truncated),
+                Ok(n) => self.end += n,
+                Err(e) => return Err(FrameError::Io(e.kind())),
+            }
+        };
+        let body_at = self.start + HEADER_LEN;
+        self.start = body_at + header.body_len as usize;
+        let body = &self.buf[body_at..self.start];
+        Ok((header, (crc32_fnv(body) == header.body_crc).then_some(body)))
+    }
+
+    /// Moves the partial frame to the front and sizes the buffer for a
+    /// frame of `frame_len` bytes.
+    fn make_room(&mut self, frame_len: usize) {
+        self.buf.copy_within(self.start..self.end, 0);
+        self.end -= self.start;
+        self.start = 0;
+        // The partial frame is shorter than `frame_len`, so it fits.
+        let size = frame_len.max(READ_BUF);
+        if self.buf.len() != size {
+            self.buf.resize(size, 0);
+            self.buf.shrink_to(size);
+        }
+    }
 }
 
 /// Reads one frame (header + body) off a stream. Returns the header

@@ -4,10 +4,12 @@
 //! [`Reactor`]; reads and writes run the
 //! classic try-then-park loop: attempt the syscall, and on
 //! `WouldBlock` arm the matching interest and yield. TCP sockets get
-//! `TCP_NODELAY` so the request/response protocol's small frames are
-//! not batched behind Nagle's algorithm.
+//! `TCP_NODELAY`: frames are batched by the peers themselves (every
+//! frame ready when a write starts shares it), never held back by
+//! Nagle's algorithm.
 
 use crate::reactor::{Interest, Reactor, Registration};
+use megate_obs::{Counter, Lazy};
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
@@ -48,6 +50,12 @@ impl std::str::FromStr for Endpoint {
             .map_err(|e| format!("bad endpoint {s:?}: {e}"))
     }
 }
+
+/// `read(2)` / `write(2)` calls issued on streams, by either side and
+/// whether or not they moved bytes: next to `net.requests`, the
+/// batching factor of the frame I/O.
+static READ_SYSCALLS: Lazy<Counter> = Lazy::counter("net.read_syscalls");
+static WRITE_SYSCALLS: Lazy<Counter> = Lazy::counter("net.write_syscalls");
 
 enum StreamKind {
     Tcp(TcpStream),
@@ -97,6 +105,7 @@ impl AsyncStream {
     }
 
     fn try_read(&self, buf: &mut [u8]) -> io::Result<usize> {
+        READ_SYSCALLS.inc();
         match &self.kind {
             StreamKind::Tcp(s) => (&*s).read(buf),
             StreamKind::Unix(s) => (&*s).read(buf),
@@ -104,6 +113,7 @@ impl AsyncStream {
     }
 
     fn try_write(&self, buf: &[u8]) -> io::Result<usize> {
+        WRITE_SYSCALLS.inc();
         match &self.kind {
             StreamKind::Tcp(s) => (&*s).write(buf),
             StreamKind::Unix(s) => (&*s).write(buf),

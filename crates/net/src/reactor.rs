@@ -17,16 +17,18 @@
 //! * **Read and write wakers are independent.** A connection's reader
 //!   and writer tasks park on the same fd; the dispatch thread wakes
 //!   whichever half the event readiness covers and re-arms the other.
-//! * **Timers ride the same thread.** `epoll_wait`'s timeout is the
-//!   next timer deadline; a self-wake socketpair interrupts the wait
-//!   when an earlier deadline (or shutdown) arrives.
+//! * **Timers ride the same thread.** Pending timers sit in one
+//!   deadline-ordered map behind a mutex; `epoll_wait`'s timeout is the
+//!   first deadline, and a self-wake socketpair interrupts the wait
+//!   when an earlier one arrives. A fired timer sets a flag its
+//!   [`Sleep`] reads without the lock.
 
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, HashMap};
 use std::future::Future;
 use std::io;
 use std::os::fd::{AsRawFd, RawFd};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::task::Waker;
 use std::time::{Duration, Instant};
@@ -162,15 +164,24 @@ impl Drop for Registration {
 /// A pending timer's handle; dropping it cancels the timer.
 pub struct TimerHandle {
     key: (Instant, u64),
+    /// Set by the dispatch thread just before it wakes the timer's
+    /// waker; lets the owner re-poll without the timer lock or a clock
+    /// read.
+    fired: Arc<AtomicBool>,
     reactor: &'static Reactor,
 }
 
 impl TimerHandle {
-    /// Replaces the waker the timer will fire (cheap re-poll path).
+    /// Whether the deadline has passed and the waker been woken.
+    fn fired(&self) -> bool {
+        self.fired.load(Ordering::Acquire)
+    }
+
+    /// Replaces the waker the timer will fire.
     pub fn reset_waker(&self, waker: &Waker) {
         let mut timers = self.reactor.timers.lock();
         if let Some(slot) = timers.get_mut(&self.key) {
-            *slot = waker.clone();
+            slot.waker = waker.clone();
         }
     }
 }
@@ -181,11 +192,19 @@ impl Drop for TimerHandle {
     }
 }
 
+/// A registered timer: whom to wake, and the flag its handle watches.
+struct Timer {
+    waker: Waker,
+    fired: Arc<AtomicBool>,
+}
+
 /// The process-wide reactor (lazily started on first use).
 pub struct Reactor {
     epfd: RawFd,
     sources: Mutex<HashMap<u64, Arc<Mutex<Source>>>>,
-    timers: Mutex<BTreeMap<(Instant, u64), Waker>>,
+    /// Pending timers ordered by deadline (the sequence number breaks
+    /// ties); the dispatch thread sleeps until the first one.
+    timers: Mutex<BTreeMap<(Instant, u64), Timer>>,
     next_token: AtomicU64,
     /// Write half of the self-wake socketpair.
     wake_tx: std::os::unix::net::UnixStream,
@@ -258,15 +277,29 @@ impl Reactor {
     pub fn add_timer(&'static self, deadline: Instant, waker: &Waker) -> TimerHandle {
         let seq = self.next_token.fetch_add(1, Ordering::Relaxed);
         let key = (deadline, seq);
+        let fired = Arc::new(AtomicBool::new(false));
+        let timer = Timer {
+            waker: waker.clone(),
+            fired: fired.clone(),
+        };
         let earliest = {
             let mut timers = self.timers.lock();
-            timers.insert(key, waker.clone());
+            timers.insert(key, timer);
             *timers.keys().next().unwrap() == key
         };
         if earliest {
             self.poke();
         }
-        TimerHandle { key, reactor: self }
+        TimerHandle {
+            key,
+            fired,
+            reactor: self,
+        }
+    }
+
+    /// Timers registered and not yet fired or cancelled.
+    pub fn pending_timers(&self) -> usize {
+        self.timers.lock().len()
     }
 
     /// Interrupts the dispatch thread's current `epoll_wait`.
@@ -363,7 +396,10 @@ fn dispatch_loop(reactor: &'static Reactor, wake_rx: std::os::unix::net::UnixStr
                 }
             };
             match due {
-                Some(w) => w.wake(),
+                Some(timer) => {
+                    timer.fired.store(true, Ordering::Release);
+                    timer.waker.wake();
+                }
                 None => break,
             }
         }
@@ -379,7 +415,8 @@ impl Drop for Reactor {
 /// Sleeps until `deadline` (async).
 pub struct Sleep {
     deadline: Instant,
-    timer: Option<TimerHandle>,
+    /// The registered timer and the waker it holds.
+    timer: Option<(TimerHandle, Waker)>,
 }
 
 impl Sleep {
@@ -404,21 +441,32 @@ impl std::future::Future for Sleep {
         mut self: std::pin::Pin<&mut Self>,
         cx: &mut std::task::Context<'_>,
     ) -> std::task::Poll<()> {
-        if Instant::now() >= self.deadline {
-            return std::task::Poll::Ready(());
-        }
-        match &self.timer {
-            Some(t) => t.reset_waker(cx.waker()),
-            None => {
-                self.timer = Some(Reactor::global().add_timer(self.deadline, cx.waker()));
+        use std::task::Poll;
+        // Armed: a re-poll (the usual case under `timeout`, whose inner
+        // future is what got woken) is one atomic load and a waker
+        // comparison — no lock, no clock read.
+        if let Some((timer, waker)) = &mut self.timer {
+            if timer.fired() {
+                return Poll::Ready(());
             }
+            if !waker.will_wake(cx.waker()) {
+                timer.reset_waker(cx.waker());
+                waker.clone_from(cx.waker());
+                // The timer may have fired the old waker meanwhile.
+                if timer.fired() {
+                    return Poll::Ready(());
+                }
+            }
+            return Poll::Pending;
         }
-        // Deadline may have passed between the check and the arm.
         if Instant::now() >= self.deadline {
-            std::task::Poll::Ready(())
-        } else {
-            std::task::Poll::Pending
+            return Poll::Ready(());
         }
+        // If the deadline passes between the check and the arm, the
+        // dispatch thread fires the timer on its next pass.
+        let timer = Reactor::global().add_timer(self.deadline, cx.waker());
+        self.timer = Some((timer, cx.waker().clone()));
+        Poll::Pending
     }
 }
 

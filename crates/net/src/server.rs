@@ -23,11 +23,12 @@
 //! per-response from a seeded counter so runs are reproducible.
 
 use crate::frame::{
-    self, encode_response, read_frame_unchecked, ErrorCode, FrameError, Request, Response,
+    self, encode_response_into, ErrorCode, FrameError, FrameReader, Request, Response,
     DEFAULT_MAX_BODY, PROTOCOL_VERSION,
 };
 use crate::io::{AsyncListener, AsyncStream, Endpoint};
 use crate::reactor::Sleep;
+use megate_obs::{Counter, Lazy};
 use megate_tedb::{ShardOutage, TeDatabase};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -293,67 +294,91 @@ fn outage_response(o: ShardOutage) -> Response {
     }
 }
 
+/// Batched responses are written out once they reach this size even
+/// if more requests are already buffered.
+const FLUSH_CAP: usize = 64 * 1024;
+
+static REQUESTS: Lazy<Counter> = Lazy::counter("net.requests");
+static FANOUT_BYTES: Lazy<Counter> = Lazy::counter("net.fanout_bytes");
+static BAD_FRAMES: Lazy<Counter> = Lazy::counter("net.bad_frames");
+
+/// The read-dispatch-write loop of one connection.
+///
+/// Requests are answered in arrival order. Responses collect in one
+/// buffer and go out in one write when no further complete request is
+/// buffered — so a lone request is answered at once, and a pipelined
+/// batch costs one read and one write — or at [`FLUSH_CAP`]. The buffer
+/// is also written out before anything else the task waits on (injected
+/// shard latency, a transport fault), so those delay or destroy only
+/// the response they belong to.
 async fn serve_conn(state: &Arc<ServerState>, conn: AsyncStream) {
+    let mut reader = FrameReader::new(DEFAULT_MAX_BODY);
+    let mut out = Outbound {
+        state,
+        conn: &conn,
+        batch: Vec::new(),
+    };
     loop {
         if state.is_shutdown() {
             return;
         }
-        let (hdr, body) = match read_frame_unchecked(&conn, DEFAULT_MAX_BODY).await {
+        if !reader.has_frame() && out.flush().await.is_err() {
+            return;
+        }
+        let (hdr, body) = match reader.next(&conn).await {
             Ok((hdr, Some(body))) => (hdr, body),
             Ok((hdr, None)) => {
                 // Body checksum failed; the stream is still aligned, so
                 // fail just this request and keep serving.
-                megate_obs::counter("net.bad_frames").inc();
+                BAD_FRAMES.inc();
                 let resp = Response::Error {
                     code: ErrorCode::BadCrc,
                     detail: "request body checksum failed".into(),
                 };
-                if write_response(state, &conn, &resp, hdr.request_id, false)
-                    .await
-                    .is_err()
-                {
+                if out.respond(&resp, hdr.request_id, false).await.is_err() {
                     return;
                 }
                 continue;
             }
             Err(FrameError::Truncated) | Err(FrameError::Io(_)) => return,
-            Err(FrameError::BadMagic) => {
-                megate_obs::counter("net.bad_frames").inc();
-                return; // not our protocol; hang up
-            }
-            Err(FrameError::BadVersion(v)) => {
-                megate_obs::counter("net.bad_frames").inc();
-                let resp = Response::Error {
-                    code: ErrorCode::UnsupportedVersion,
-                    detail: format!("frame version {v} unsupported"),
+            Err(e) => {
+                BAD_FRAMES.inc();
+                let resp = match e {
+                    FrameError::BadVersion(v) => Response::Error {
+                        code: ErrorCode::UnsupportedVersion,
+                        detail: format!("frame version {v} unsupported"),
+                    },
+                    FrameError::Oversized(n) => Response::Error {
+                        code: ErrorCode::Oversized,
+                        detail: format!("body of {n} bytes exceeds cap"),
+                    },
+                    // Bad magic: not our protocol. Answer what came
+                    // before it and hang up.
+                    _ => {
+                        let _ = out.flush().await;
+                        return;
+                    }
                 };
-                let _ = write_response(state, &conn, &resp, 0, false).await;
-                return;
-            }
-            Err(FrameError::Oversized(n)) => {
-                megate_obs::counter("net.bad_frames").inc();
-                let resp = Response::Error {
-                    code: ErrorCode::Oversized,
-                    detail: format!("body of {n} bytes exceeds cap"),
-                };
-                let _ = write_response(state, &conn, &resp, 0, false).await;
-                return; // stream is desynchronized; hang up
-            }
-            Err(FrameError::BadCrc) | Err(FrameError::Malformed) => {
-                // read_frame_unchecked never returns these.
-                megate_obs::counter("net.bad_frames").inc();
+                // The stream is desynchronized; say why and hang up.
+                if out.respond(&resp, 0, false).await.is_ok() {
+                    let _ = out.flush().await;
+                }
                 return;
             }
         };
         state
             .bytes_in
             .fetch_add((frame::HEADER_LEN + body.len()) as u64, Ordering::Relaxed);
-        let (resp, corrupt) = match Request::decode(hdr.op, &body) {
+        let (resp, corrupt) = match Request::decode(hdr.op, body) {
             Some(req) => {
-                megate_obs::counter("net.requests").inc();
+                REQUESTS.inc();
                 let (resp, corrupt, injected_ns) = dispatch(&state.db, &req);
                 if injected_ns > 0 {
-                    // Injected shard latency becomes real service time.
+                    // Injected shard latency becomes real service time
+                    // of this request, not of the ones answered before.
+                    if out.flush().await.is_err() {
+                        return;
+                    }
                     Sleep::after(Duration::from_nanos(injected_ns)).await;
                 }
                 (resp, corrupt)
@@ -366,60 +391,78 @@ async fn serve_conn(state: &Arc<ServerState>, conn: AsyncStream) {
                 false,
             ),
         };
-        if write_response(state, &conn, &resp, hdr.request_id, corrupt)
-            .await
-            .is_err()
-        {
+        if out.respond(&resp, hdr.request_id, corrupt).await.is_err() {
             return;
         }
     }
 }
 
-/// Writes a response frame, applying any transport fault rolled for
-/// this response. `Err(())` means the connection is done.
-async fn write_response(
-    state: &Arc<ServerState>,
-    conn: &AsyncStream,
-    resp: &Response,
-    request_id: u64,
-    corrupt: bool,
-) -> Result<(), ()> {
-    let bytes = encode_response(resp, request_id, corrupt);
-    match state.roll_fault() {
-        FaultRoll::None => {
-            state
-                .bytes_out
-                .fetch_add(bytes.len() as u64, Ordering::Relaxed);
-            megate_obs::counter("net.fanout_bytes").add(bytes.len() as u64);
-            conn.write_all(&bytes).await.map_err(|_| ())
+/// One connection's response path: the batch of encoded responses not
+/// yet written.
+struct Outbound<'a> {
+    state: &'a ServerState,
+    conn: &'a AsyncStream,
+    batch: Vec<u8>,
+}
+
+impl Outbound<'_> {
+    /// Writes the batch out. `Err(())` means the connection is done.
+    async fn flush(&mut self) -> Result<(), ()> {
+        if self.batch.is_empty() {
+            return Ok(());
         }
-        FaultRoll::Reset => {
-            megate_obs::counter("net.faults.reset").inc();
-            // Drop without responding; closing the stream resets the
-            // agent's pending read.
-            Err(())
+        let written = self.conn.write_all(&self.batch).await;
+        self.batch.clear();
+        self.batch.shrink_to(FLUSH_CAP);
+        written.map_err(|_| ())
+    }
+
+    /// Adds a response frame to the batch, or applies the transport
+    /// fault rolled for this response — after writing the batch out, so
+    /// the responses before it arrive as if each had been written on
+    /// its own. `Err(())` means the connection is done.
+    async fn respond(&mut self, resp: &Response, request_id: u64, corrupt: bool) -> Result<(), ()> {
+        let fault = self.state.roll_fault();
+        if !matches!(fault, FaultRoll::None) {
+            self.flush().await?;
         }
-        FaultRoll::Truncate => {
-            megate_obs::counter("net.faults.truncate").inc();
-            let cut = bytes.len() / 2;
-            let _ = conn.write_all(&bytes[..cut]).await;
-            conn.shutdown_write();
-            Err(())
-        }
-        FaultRoll::Stall => {
-            megate_obs::counter("net.faults.stall").inc();
-            let delay = state.faults.read().stall_chunk_delay;
-            for chunk in bytes.chunks(7) {
-                if conn.write_all(chunk).await.is_err() {
-                    return Err(());
+        let at = self.batch.len();
+        encode_response_into(&mut self.batch, resp, request_id, corrupt);
+        let len = (self.batch.len() - at) as u64;
+        match fault {
+            FaultRoll::None => {
+                self.state.bytes_out.fetch_add(len, Ordering::Relaxed);
+                FANOUT_BYTES.add(len);
+                if self.batch.len() >= FLUSH_CAP {
+                    self.flush().await?;
                 }
-                Sleep::after(delay).await;
+                Ok(())
             }
-            state
-                .bytes_out
-                .fetch_add(bytes.len() as u64, Ordering::Relaxed);
-            megate_obs::counter("net.fanout_bytes").add(bytes.len() as u64);
-            Ok(())
+            FaultRoll::Reset => {
+                megate_obs::counter("net.faults.reset").inc();
+                // Drop without responding; closing the stream resets the
+                // agent's pending read.
+                Err(())
+            }
+            FaultRoll::Truncate => {
+                megate_obs::counter("net.faults.truncate").inc();
+                let frame = &self.batch[at..];
+                let _ = self.conn.write_all(&frame[..frame.len() / 2]).await;
+                self.conn.shutdown_write();
+                Err(())
+            }
+            FaultRoll::Stall => {
+                megate_obs::counter("net.faults.stall").inc();
+                let delay = self.state.faults.read().stall_chunk_delay;
+                for chunk in self.batch[at..].chunks(7) {
+                    self.conn.write_all(chunk).await.map_err(|_| ())?;
+                    Sleep::after(delay).await;
+                }
+                self.batch.truncate(at);
+                self.state.bytes_out.fetch_add(len, Ordering::Relaxed);
+                FANOUT_BYTES.add(len);
+                Ok(())
+            }
         }
     }
 }

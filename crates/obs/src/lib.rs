@@ -50,7 +50,7 @@ pub use expose::{sanitize_name, write_bench_snapshot};
 pub use metrics::{
     bucket_of, Counter, Gauge, Histogram, HistogramSnapshot, Snapshot, HIST_BUCKETS,
 };
-pub use registry::{global, Registry};
+pub use registry::{global, Lazy, Registry};
 pub use span::{span, Span};
 
 #[cfg(not(feature = "disabled"))]

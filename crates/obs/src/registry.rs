@@ -8,7 +8,7 @@
 //! construct their own [`Registry`].
 
 use std::collections::BTreeMap;
-use std::sync::RwLock;
+use std::sync::{OnceLock, RwLock};
 
 use crate::metrics::{Counter, Gauge, Histogram, Snapshot};
 
@@ -90,6 +90,62 @@ static GLOBAL: Registry = Registry::new();
 /// The process-wide registry all crates record into by default.
 pub fn global() -> &'static Registry {
     &GLOBAL
+}
+
+/// A [`global`]-registry handle for a `static`: the name is looked up
+/// on first use and the handle kept, so a per-request or per-event
+/// record path pays the registry's lock and name walk once per process.
+///
+/// ```
+/// static REQUESTS: megate_obs::Lazy<megate_obs::Counter> =
+///     megate_obs::Lazy::counter("doc.lazy_requests");
+/// REQUESTS.inc();
+/// assert_eq!(megate_obs::counter("doc.lazy_requests").get(), REQUESTS.get());
+/// ```
+pub struct Lazy<T> {
+    name: &'static str,
+    resolve: fn(&str) -> T,
+    handle: OnceLock<T>,
+}
+
+impl Lazy<Counter> {
+    /// The named counter of the global registry.
+    pub const fn counter(name: &'static str) -> Self {
+        Self::new(name, crate::counter)
+    }
+}
+
+impl Lazy<Gauge> {
+    /// The named gauge of the global registry.
+    pub const fn gauge(name: &'static str) -> Self {
+        Self::new(name, crate::gauge)
+    }
+}
+
+impl Lazy<Histogram> {
+    /// The named histogram of the global registry.
+    pub const fn histogram(name: &'static str) -> Self {
+        Self::new(name, crate::histogram)
+    }
+}
+
+impl<T> Lazy<T> {
+    const fn new(name: &'static str, resolve: fn(&str) -> T) -> Self {
+        Self {
+            name,
+            resolve,
+            handle: OnceLock::new(),
+        }
+    }
+}
+
+impl<T> std::ops::Deref for Lazy<T> {
+    type Target = T;
+
+    #[inline]
+    fn deref(&self) -> &T {
+        self.handle.get_or_init(|| (self.resolve)(self.name))
+    }
 }
 
 #[cfg(all(test, not(feature = "disabled")))]

@@ -294,8 +294,9 @@ mod imp {
 
     #[inline]
     pub(super) fn record(stage: Stage, version: u64, entity: u64, arg: u64) {
+        static EVENTS: crate::Lazy<crate::Counter> = crate::Lazy::counter("trace.events");
         RING.with(|r| r.push(stage, version, entity, arg));
-        crate::counter("trace.events").inc();
+        EVENTS.inc();
     }
 
     pub(super) fn snapshot() -> Vec<TraceEvent> {
@@ -384,8 +385,9 @@ mod imp {
 use imp as backend;
 
 /// Record one propagation event into this thread's ring. A single
-/// `enabled()` branch plus four relaxed stores; compiled out entirely
-/// under the `disabled` feature.
+/// `enabled()` branch, four relaxed stores and one relaxed add on the
+/// `trace.events` counter (its handle resolved once per process);
+/// compiled out entirely under the `disabled` feature.
 #[inline]
 pub fn record(stage: Stage, version: u64, entity: u64, arg: u64) {
     #[cfg(feature = "disabled")]

@@ -45,6 +45,11 @@ cargo run -q -p megate-bench --release --bin fig_partition -- --scale quick
 cargo test -q -p megate-net --test protocol
 cargo test -q -p megate-net --test service_chaos
 cargo test -q -p megate-net --test transport_equivalence
+# Both crates of the delivery round again at release speed: the
+# flush-before-fault ordering, the executor's parked-worker count and
+# the timer fired flag are races a debug build is too slow to lose.
+cargo test -q --release -p megate-net
+cargo test -q --release -p megate-hoststack
 # A reduced fig_service run: agent fan-out over real sockets must keep
 # every clean-service pull refreshed with p99 inside one 10 s sync period.
 cargo run -q -p megate-bench --release --bin fig_service -- --scale quick
