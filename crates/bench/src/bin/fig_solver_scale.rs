@@ -17,9 +17,9 @@
 //!   critical path is the busiest worker; speedups and the 10-second
 //!   gate are evaluated on that.
 //! * **Identical output, asserted.** Every thread count's merged
-//!   endpoint assignment must be bitwise-identical, and the smallest
-//!   point is additionally cross-checked against the allocating
-//!   scalar reference path (`max_endpoint_flow` pair by pair).
+//!   endpoint assignment must be bitwise-identical
+//!   (`tests/solver_equivalence.rs` holds the kernel to the scalar
+//!   reference).
 
 use megate::prelude::*;
 use megate_bench::{build_instance, print_table, scale_from_args, write_json, Scale};
@@ -53,7 +53,7 @@ fn main() {
     };
 
     let mut json: Vec<SolverScaleRow> = Vec::new();
-    for (ei, &endpoints) in endpoint_sweep.iter().enumerate() {
+    for &endpoints in endpoint_sweep {
         println!("building Twan instance with {endpoints} endpoint demands...");
         let inst = build_instance(TopologySpec::Twan, endpoints, 7);
         let p = inst.problem();
@@ -98,24 +98,6 @@ fn main() {
                 pairs_stolen: stats.pairs_stolen,
                 within_sync_period: max_busy_ms < SYNC_PERIOD_MS,
             });
-        }
-
-        // Bitwise cross-check against the scalar reference path, once
-        // per sweep on the smallest instance (the scalar path is the
-        // slow allocating one this kernel replaced).
-        if ei == 0 {
-            let mut scalar: Vec<Option<TunnelId>> = vec![None; p.demands.len()];
-            for (k, &pair) in pairs.iter().enumerate() {
-                for (i, t) in scheme.max_endpoint_flow(&p, pair, &site_flows[k]) {
-                    scalar[i] = Some(t);
-                }
-            }
-            assert_eq!(
-                reference.as_ref(),
-                Some(&scalar),
-                "{endpoints} endpoints: flat kernel diverged from the scalar reference"
-            );
-            println!("scalar cross-check at {endpoints} endpoints: identical");
         }
     }
 

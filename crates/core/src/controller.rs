@@ -38,9 +38,9 @@ use std::time::Duration;
 pub struct ControllerConfig {
     /// The two-stage solver's knobs.
     pub solver: MegaTeConfig,
-    /// Allocate QoS classes sequentially (§4.1). On by default via
-    /// [`ControllerConfig::default`]-adjacent constructors; disable for
-    /// single-shot experiments.
+    /// Allocate QoS classes sequentially, each on the capacity the
+    /// higher classes left (§4.1). Off by default — one pass over all
+    /// demands; the system fixtures and the benchmark turn it on.
     pub qos_sequential: bool,
     /// Flush full snapshots for still-dirty endpoints every Nth
     /// version (failure events always flush). Must not exceed

@@ -23,11 +23,9 @@
 //! tables into [`mcf::McfProblem`]s.
 
 pub mod mcf;
-pub mod presolve;
 pub mod revised;
 pub mod simplex;
 
 pub use mcf::{Commodity, McfProblem, McfSolution, McfWarmSolve, PathSpec};
-pub use presolve::{presolve, solve_presolved, Presolve};
 pub use revised::{solve_revised_warm, LpBasis, WarmLpSolve};
 pub use simplex::{LinearProgram, LpError, LpSolution, LpStatus, SparseRow};

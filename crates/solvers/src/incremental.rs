@@ -5,7 +5,7 @@
 //! allocation every interval even when almost nothing changed — the
 //! control loop then publishes a tiny diff of a full solve. The
 //! [`IncrementalEngine`] keeps solver state alive across intervals and
-//! solves *the diff*:
+//! solves *the diff*, through **one pipeline** (`Core::resolve`):
 //!
 //! * a [`DirtySet`] keyed by site pair marks which pairs' inputs
 //!   actually changed — a pair is dirty when any of its endpoint
@@ -16,28 +16,42 @@
 //!   loads provably still fit: clean pairs only traverse links whose
 //!   capacity is unchanged, and their loads are a subset of the
 //!   previous feasible loads);
-//! * dirty pairs re-run the pipeline on the **residual** capacity left
-//!   by the carried allocations: a dirty-subset `MaxSiteFlow` LP —
+//! * dirty pairs re-solve on the **residual** capacity left by the
+//!   carried allocations: a dirty-subset `MaxSiteFlow` LP —
 //!   warm-started from the retained simplex basis when the dirty set
 //!   has the same shape as last interval — then FastSSP stage 3 via
 //!   the pooled [`megate_ssp::SolverScratch`] kernel, then a repair
 //!   pass restricted to the dirty pairs' endpoints against the merged
 //!   link loads (every per-interval cost is `O(dirty)` plus a few flat
 //!   `O(endpoints)` scans — no full re-aggregation, no global repair);
-//! * the exact-vs-FPTAS choice of [`LpMode::Auto`] is resolved once
-//!   per instance shape at cold-solve time and **latched**, so a warm
-//!   re-solve of a small dirty subset can never flip modes mid-stream.
+//! * the exact-vs-FPTAS choice of [`LpMode::Auto`] is resolved at a
+//!   state's first LP and **latched**, so a re-solve of a small dirty
+//!   subset can never flip modes mid-stream.
+//!
+//! A **cold solve is that same pipeline** entered with nothing
+//! retained and every pair dirty: a fresh state carries no picks, so
+//! the residual is the full capacity, the dirty-subset LP is the whole
+//! instance, and the dirty-only repair and flow refresh cover every
+//! endpoint. There is no second copy of the recipe to drift: the
+//! stateless [`MegaTeScheme::solve`] is the only other statement of
+//! it, and the tests pin the engine to it bitwise.
+//!
+//! The engine runs the pipeline once per entry of a class list — all
+//! demands in one pass, or the three QoS classes in priority order on
+//! the residual graph (§4.1, [`crate::qos`]'s class loop), each class
+//! with its own retained state.
 //!
 //! Equivalence properties pinned by `tests/incremental.rs`:
 //!
 //! * **churn = 0** → the engine returns the previous allocation
 //!   verbatim (zero allocation diff, near-zero work);
-//! * **100 % dirty** → the warm path degenerates to exactly the cold
-//!   pipeline (full pair set, full capacities, no basis reuse) and is
-//!   bitwise-identical to [`MegaTeScheme::solve`];
-//! * warm-path allocations never violate link capacity (the carried
-//!   loads are feasible by construction, the dirty LP is capped by the
-//!   residual, and the repair pass is feasibility-preserving).
+//! * **cold, and 100 % dirty on retained state** → bitwise-identical
+//!   to [`MegaTeScheme::solve`] (full pair set, full capacities, no
+//!   basis reuse);
+//! * allocations never violate link capacity (the carried loads are
+//!   feasible by construction, the dirty LP is capped by the residual,
+//!   and the repair pass is feasibility-preserving) — debug builds
+//!   assert it where the pipeline hands its allocation out.
 //!
 //! Drift bound: residual-freeze is an approximation — a warm interval
 //! optimizes dirty pairs against frozen clean allocations, so repeated
@@ -49,13 +63,13 @@
 //! [`LpMode::Auto`]: crate::megate::LpMode::Auto
 
 use crate::megate::{MegaTeScheme, ResolvedLpMode};
+use crate::qos::{class_demands, solve_classes, ClassDemands};
 use crate::types::{
-    aggregated_pairs, flows_from_assignment, EndpointStageStats, SolveError, TeAllocation,
-    TeProblem, TeScheme,
+    aggregated_pairs, EndpointStageStats, SolveError, TeAllocation, TeProblem, TeScheme,
 };
 use megate_lp::LpBasis;
-use megate_topo::{LinkId, SitePair, TunnelId};
-use megate_traffic::{DemandSet, QosClass};
+use megate_topo::{SitePair, TunnelId, TunnelTable};
+use megate_traffic::DemandSet;
 use std::collections::BTreeSet;
 use std::time::Instant;
 
@@ -71,7 +85,7 @@ pub struct IncrementalConfig {
     /// at or below this many parts-per-million of the pair set; above
     /// it a full cold solve is cheaper and exact. `1_000_000` permits
     /// warm solves even at 100 % dirty (useful for equivalence tests —
-    /// the warm path is bitwise-identical to cold there).
+    /// a solve on retained state is bitwise-identical to cold there).
     pub warm_churn_max_ppm: i64,
     /// Force a cold solve every this many solves to bound the drift of
     /// repeated residual-freeze warm intervals. `0` disables the
@@ -139,21 +153,13 @@ impl DirtySet {
     pub fn total(&self) -> usize {
         self.total
     }
-
-    /// Dirty fraction in parts per million (0 for an empty universe).
-    pub fn churn_ppm(&self) -> i64 {
-        if self.total == 0 {
-            0
-        } else {
-            ((self.dirty.len() as f64 / self.total as f64) * 1e6) as i64
-        }
-    }
 }
 
 /// What one engine solve reports alongside the allocation.
 #[derive(Debug, Clone, Default)]
 pub struct IncrementalReport {
-    /// Whether this interval ran the full cold pipeline.
+    /// Whether this interval was solved cold: nothing retained, every
+    /// pair dirty.
     pub cold: bool,
     /// Dirty pairs re-solved this interval (= total pairs when cold).
     pub dirty_pairs: usize,
@@ -164,8 +170,8 @@ pub struct IncrementalReport {
     pub carried_endpoints: usize,
 }
 
-/// Retained per-class solver state: everything a warm interval needs
-/// to carry clean pairs forward and re-solve dirty ones.
+/// Retained per-class solver state: everything an interval needs to
+/// carry clean pairs forward and re-solve dirty ones.
 struct CoreState {
     /// The demand set this state's *shape* was established for
     /// (structure compared to detect shape change). Values inside it
@@ -181,8 +187,6 @@ struct CoreState {
     caps: Vec<f64>,
     /// LP pair universe, in commodity order (sorted by `SitePair`).
     pairs: Vec<SitePair>,
-    /// `F_{k,t}` per pair, parallel to `pairs`.
-    site_flows: Vec<Vec<f64>>,
     /// Final (post-repair) assignment of the last interval — what
     /// clean pairs carry forward verbatim.
     assignment: Vec<Option<TunnelId>>,
@@ -191,49 +195,68 @@ struct CoreState {
     /// Link index → positions in `pairs` of every pair with a tunnel
     /// traversing that link (the capacity-delta dirty rule).
     pairs_on_link: Vec<Vec<u32>>,
-    /// The latched `Auto` resolution for this instance shape.
-    mode: ResolvedLpMode,
-    /// Retained simplex basis of the last warm dirty-subset LP, keyed
-    /// by the dirty pair list it was solved for. Never used when the
-    /// dirty set covers every pair (keeps 100 %-dirty bitwise-cold).
+    /// The latched `Auto` resolution, taken at this state's first LP —
+    /// the full instance, because a fresh state enters all-dirty.
+    mode: Option<ResolvedLpMode>,
+    /// Retained simplex basis of the last dirty-subset LP, keyed by the
+    /// dirty pair list it was solved for. Never used when the dirty
+    /// set covers every pair (keeps 100 %-dirty bitwise-cold).
     basis: Option<(Vec<SitePair>, LpBasis)>,
 }
 
-/// One warm-startable solve core (one per QoS class when sequential).
-#[derive(Default)]
-struct Core {
-    state: Option<CoreState>,
-}
+impl CoreState {
+    /// The state a cold solve enters the pipeline with: the instance's
+    /// pair universe and link index, and nothing solved yet — nobody
+    /// is assigned, no tunnel carries flow, no mode or basis retained.
+    fn fresh(problem: &TeProblem, caps: Vec<f64>) -> Self {
+        let pairs: Vec<SitePair> = aggregated_pairs(problem)
+            .into_iter()
+            .map(|(p, _)| p)
+            .collect();
+        let mut pairs_on_link: Vec<Vec<u32>> = vec![Vec::new(); caps.len()];
+        for (k, &pair) in pairs.iter().enumerate() {
+            for &t in problem.tunnels.tunnels_for(pair) {
+                for &e in &problem.tunnels.tunnel(t).links {
+                    pairs_on_link[e.index()].push(k as u32);
+                }
+            }
+        }
+        for v in &mut pairs_on_link {
+            // Pushes per pair are grouped (pairs visited in ascending
+            // k), so consecutive dedup removes all duplicates.
+            v.dedup();
+        }
+        let demands = problem.demands.clone();
+        Self {
+            demand_values: demands.demands().iter().map(|d| d.demand_mbps).collect(),
+            assignment: vec![None; demands.len()],
+            demands,
+            caps,
+            pairs,
+            tunnel_flows: vec![0.0; problem.tunnels.tunnel_count()],
+            pairs_on_link,
+            mode: None,
+            basis: None,
+        }
+    }
 
-/// The parts one core contributes to the interval's merged allocation.
-struct CoreOutput {
-    assignment: Vec<Option<TunnelId>>,
-    tunnel_flows: Vec<f64>,
-    stage: Option<EndpointStageStats>,
-    carried_endpoints: usize,
-}
-
-impl Core {
-    /// Whether the retained state covers an instance of identical
-    /// *shape*: same link count, same pair sequence, same per-pair
-    /// demand indices, same endpoints and QoS classes. Demand values
-    /// and capacities may differ (that is churn, not shape change).
+    /// Whether this state covers an instance of identical *shape*:
+    /// same link count, same pair sequence, same per-pair demand
+    /// indices, same endpoints and QoS classes. Demand values and
+    /// capacities may differ (that is churn, not shape change).
     fn shape_matches(&self, demands: &DemandSet, n_links: usize) -> bool {
-        let Some(st) = &self.state else {
-            return false;
-        };
-        if st.caps.len() != n_links || st.demands.len() != demands.len() {
+        if self.caps.len() != n_links || self.demands.len() != demands.len() {
             return false;
         }
-        if !st.demands.pairs().eq(demands.pairs()) {
+        if !self.demands.pairs().eq(demands.pairs()) {
             return false;
         }
         for pair in demands.pairs() {
-            if st.demands.indices_for(pair) != demands.indices_for(pair) {
+            if self.demands.indices_for(pair) != demands.indices_for(pair) {
                 return false;
             }
         }
-        st.demands
+        self.demands
             .demands()
             .iter()
             .zip(demands.demands())
@@ -253,24 +276,20 @@ impl Core {
     fn dirty_set(
         &self,
         demands: &DemandSet,
-        tunnels: &megate_topo::TunnelTable,
+        tunnels: &TunnelTable,
         caps: &[f64],
     ) -> Option<DirtySet> {
-        let st = self
-            .state
-            .as_ref()
-            .expect("dirty_set requires retained state");
-        let mut ds = DirtySet::new(st.pairs.len());
+        let mut ds = DirtySet::new(self.pairs.len());
         let new = demands.demands();
         for pair in demands.pairs() {
             let idxs = demands.indices_for(pair);
             let changed = idxs
                 .iter()
-                .any(|&i| st.demand_values[i] != new[i].demand_mbps);
+                .any(|&i| self.demand_values[i] != new[i].demand_mbps);
             if !changed {
                 continue;
             }
-            let in_universe = st.pairs.binary_search(&pair).is_ok();
+            let in_universe = self.pairs.binary_search(&pair).is_ok();
             // Mirror `aggregated_pairs`: a pair is a commodity iff its
             // aggregate demand is positive and it has tunnels.
             let should_be = idxs.iter().map(|&i| new[i].demand_mbps).sum::<f64>() > 0.0
@@ -282,114 +301,92 @@ impl Core {
                 ds.mark(pair);
             }
         }
-        for (e, (&new_cap, &old_cap)) in caps.iter().zip(&st.caps).enumerate() {
+        for (e, (&new_cap, &old_cap)) in caps.iter().zip(&self.caps).enumerate() {
             if new_cap != old_cap {
-                for &k in &st.pairs_on_link[e] {
-                    ds.mark(st.pairs[k as usize]);
+                for &k in &self.pairs_on_link[e] {
+                    ds.mark(self.pairs[k as usize]);
                 }
             }
         }
         Some(ds)
     }
+}
 
-    /// The full cold pipeline — a faithful mirror of
-    /// [`MegaTeScheme::solve`] that additionally captures the internal
-    /// state a warm interval needs. Bitwise-identical output.
-    fn solve_cold(
+/// One warm-startable solve core (one per entry of the class list).
+#[derive(Default)]
+struct Core {
+    state: Option<CoreState>,
+}
+
+impl Core {
+    /// Solves one class's sub-problem: through the retained state when
+    /// there is one and the pair universe held, else — a cold solve —
+    /// through a fresh state with every pair dirty. Either way the
+    /// same pipeline runs. The state is put back only on success, so a
+    /// failed solve leaves nothing half-updated to warm-start from.
+    fn solve(
         &mut self,
         scheme: &MegaTeScheme,
         problem: &TeProblem,
-    ) -> Result<CoreOutput, SolveError> {
+    ) -> Result<(TeAllocation, IncrementalReport), SolveError> {
+        let start = Instant::now();
         let caps = problem.link_capacities();
-        let pairs_demand = aggregated_pairs(problem);
-        let (pairs, site_flows, mode) = if pairs_demand.is_empty() {
-            (Vec::new(), Vec::new(), ResolvedLpMode::Exact)
-        } else {
-            let _span = megate_obs::span("solver.max_site_flow");
-            let mcf = scheme.build_mcf(problem, &pairs_demand);
-            let mode = scheme.resolve_mode(&mcf, None);
-            let sol = scheme.solve_mcf(&mcf, mode)?;
-            let pairs: Vec<SitePair> = pairs_demand.iter().map(|&(p, _)| p).collect();
-            (pairs, sol.flows, mode)
-        };
-
-        let endpoint_span = megate_obs::span("solver.max_endpoint_flow");
-        let mut assignment: Vec<Option<TunnelId>> = vec![None; problem.demands.len()];
-        let stage = scheme.max_endpoint_flow_all(problem, &pairs, &site_flows, &mut assignment);
-        drop(endpoint_span);
-        if scheme.config.residual_repair {
-            let _span = megate_obs::span("solver.repair");
-            scheme.repair_with_residuals(problem, &mut assignment);
-        }
-        let tunnel_flows = flows_from_assignment(problem, &assignment);
-
-        let mut pairs_on_link: Vec<Vec<u32>> = vec![Vec::new(); caps.len()];
-        for (k, &pair) in pairs.iter().enumerate() {
-            for &t in problem.tunnels.tunnels_for(pair) {
-                for &e in &problem.tunnels.tunnel(t).links {
-                    pairs_on_link[e.index()].push(k as u32);
-                }
-            }
-        }
-        for v in &mut pairs_on_link {
-            // Pushes per pair are grouped (pairs visited in ascending
-            // k), so consecutive dedup removes all duplicates.
-            v.dedup();
-        }
-
-        self.state = Some(CoreState {
-            demands: problem.demands.clone(),
-            demand_values: problem
-                .demands
-                .demands()
-                .iter()
-                .map(|d| d.demand_mbps)
-                .collect(),
-            caps,
-            pairs,
-            site_flows,
-            assignment: assignment.clone(),
-            tunnel_flows: tunnel_flows.clone(),
-            pairs_on_link,
-            mode,
-            basis: None,
+        let retained = self.state.take().and_then(|st| {
+            let dirty = st.dirty_set(problem.demands, problem.tunnels, &caps)?;
+            Some((st, dirty))
         });
-        Ok(CoreOutput {
-            assignment,
-            tunnel_flows,
-            stage: Some(stage),
-            carried_endpoints: 0,
-        })
-    }
-
-    /// The warm pipeline: carry clean pairs' final picks forward,
-    /// re-solve dirty pairs on the residual capacity, then repair only
-    /// the dirty pairs' endpoints against the merged link loads.
-    fn solve_warm(
-        &mut self,
-        scheme: &MegaTeScheme,
-        problem: &TeProblem,
-        dirty: &DirtySet,
-    ) -> Result<CoreOutput, SolveError> {
-        let st = self
-            .state
-            .as_mut()
-            .expect("solve_warm requires retained state");
-        let caps = problem.link_capacities();
-        let demands = problem.demands;
+        let (mut st, dirty) = match retained {
+            Some(warm) => warm,
+            None => {
+                let st = CoreState::fresh(problem, caps.clone());
+                let dirty = DirtySet::all(&st.pairs);
+                (st, dirty)
+            }
+        };
 
         // Churn-zero fast path: nothing dirty and capacities bitwise
         // unchanged — the previous allocation is still exactly right.
-        if dirty.is_empty() && caps == st.caps {
-            let carried = st.assignment.iter().filter(|a| a.is_some()).count();
-            return Ok(CoreOutput {
-                assignment: st.assignment.clone(),
-                tunnel_flows: st.tunnel_flows.clone(),
-                stage: None,
-                carried_endpoints: carried,
-            });
-        }
+        let (stage, carried) = if dirty.is_empty() && caps == st.caps {
+            (None, st.assignment.iter().filter(|a| a.is_some()).count())
+        } else {
+            let (stage, carried) = Self::resolve(&mut st, scheme, problem, &dirty, caps)?;
+            (Some(stage), carried)
+        };
 
+        let alloc = TeAllocation {
+            scheme: scheme.name().to_string(),
+            tunnel_flow_mbps: st.tunnel_flows.clone(),
+            endpoint_assignment: Some(st.assignment.clone()),
+            solve_time: start.elapsed(),
+            endpoint_stage: stage,
+        };
+        debug_assert!(
+            alloc.check_feasible(problem, 1e-5),
+            "the pipeline handed out an infeasible allocation"
+        );
+        self.state = Some(st);
+        let report = IncrementalReport {
+            cold: false, // the engine's call, not a class's
+            dirty_pairs: dirty.len(),
+            total_pairs: dirty.total(),
+            carried_endpoints: carried,
+        };
+        Ok((alloc, report))
+    }
+
+    /// The pipeline: carry clean pairs' final picks forward, re-solve
+    /// dirty pairs on the residual capacity, then repair only the dirty
+    /// pairs' endpoints against the merged link loads — leaving the new
+    /// assignment, tunnel flows, demand values and capacities in `st`.
+    /// Returns the stage-3 profile and how many picks were carried.
+    fn resolve(
+        st: &mut CoreState,
+        scheme: &MegaTeScheme,
+        problem: &TeProblem,
+        dirty: &DirtySet,
+        caps: Vec<f64>,
+    ) -> Result<(EndpointStageStats, usize), SolveError> {
+        let demands = problem.demands;
         debug_assert!(
             aggregated_pairs(problem)
                 .iter()
@@ -398,16 +395,18 @@ impl Core {
             "shape-matched instance must aggregate to the same pair universe"
         );
         let npairs = st.pairs.len();
-        let dirty_pos: Vec<usize> = (0..npairs)
-            .filter(|&k| dirty.contains(st.pairs[k]))
+        let dirty_pairs: Vec<SitePair> = st
+            .pairs
+            .iter()
+            .copied()
+            .filter(|&pair| dirty.contains(pair))
             .collect();
 
         // Mark the dirty pairs' endpoints (endpoint index → pair);
         // every other endpoint carries last interval's final pick.
         let new = demands.demands();
         let mut dirty_ep: Vec<Option<SitePair>> = vec![None; demands.len()];
-        for &k in &dirty_pos {
-            let pair = st.pairs[k];
+        for &pair in &dirty_pairs {
             for &i in demands.indices_for(pair) {
                 dirty_ep[i] = Some(pair);
             }
@@ -418,7 +417,7 @@ impl Core {
         // with unchanged capacity (the capacity-delta dirty rule), and
         // their loads are a subset of last interval's feasible loads,
         // so the residual below is non-negative by construction.
-        let mut assignment = st.assignment.clone();
+        let assignment = &mut st.assignment;
         let mut carried = 0usize;
         let mut clean_loads = vec![0.0f64; caps.len()];
         for (i, choice) in assignment.iter_mut().enumerate() {
@@ -441,17 +440,19 @@ impl Core {
         // Dirty-subset MaxSiteFlow on the residual, with the latched
         // mode. The retained simplex basis re-enters only when the
         // dirty set is a *proper* subset with the same pair list as
-        // last interval — at 100 % dirty the LP is the full cold
-        // instance and must stay bitwise-identical to it.
-        if !dirty_pos.is_empty() {
+        // last interval — at 100 % dirty the LP is the full instance
+        // and must stay bitwise-identical to the stateless solve.
+        let site_flows = if dirty_pairs.is_empty() {
+            Vec::new()
+        } else {
             let _span = megate_obs::span("solver.max_site_flow");
             // Aggregate only the dirty pairs (same per-pair index order
             // as `aggregated_pairs`, so the sums — and therefore the
-            // 100 %-dirty LP — are bitwise-identical to the cold path).
-            let dirty_demand: Vec<(SitePair, f64)> = dirty_pos
+            // 100 %-dirty LP — are bitwise-identical to the stateless
+            // path's).
+            let dirty_demand: Vec<(SitePair, f64)> = dirty_pairs
                 .iter()
-                .map(|&k| {
-                    let pair = st.pairs[k];
+                .map(|&pair| {
                     let total: f64 = demands
                         .indices_for(pair)
                         .iter()
@@ -461,45 +462,39 @@ impl Core {
                 })
                 .collect();
             let mut mcf = scheme.build_mcf(problem, &dirty_demand);
+            let mode = *st
+                .mode
+                .get_or_insert_with(|| scheme.resolve_mode(&mcf, None));
             mcf.link_capacity = residual;
-            let sol = match st.mode {
+            match mode {
                 ResolvedLpMode::Exact => {
-                    let key: Vec<SitePair> = dirty_demand.iter().map(|&(p, _)| p).collect();
-                    let warm_basis = if dirty_pos.len() < npairs {
-                        st.basis.as_ref().filter(|(k, _)| *k == key).map(|(_, b)| b)
-                    } else {
-                        None
-                    };
+                    let proper_subset = dirty_pairs.len() < npairs;
+                    let warm_basis = st
+                        .basis
+                        .as_ref()
+                        .filter(|(key, _)| proper_subset && *key == dirty_pairs)
+                        .map(|(_, b)| b);
                     let w = mcf
                         .solve_exact_warm(warm_basis)
                         .map_err(|e| SolveError::Lp(e.to_string()))?;
-                    st.basis = (dirty_pos.len() < npairs).then_some((key, w.basis));
-                    w.solution
+                    st.basis = proper_subset.then(|| (dirty_pairs.clone(), w.basis));
+                    w.solution.flows
                 }
-                ResolvedLpMode::Fptas(eps) => mcf.solve_fptas(eps),
-            };
-            for (j, &k) in dirty_pos.iter().enumerate() {
-                st.site_flows[k] = sol.flows[j].clone();
+                ResolvedLpMode::Fptas(eps) => mcf.solve_fptas(eps).flows,
             }
-        }
+        };
 
         // FastSSP stage 3 for the dirty pairs only, writing into the
         // assignment alongside the carried picks.
         let endpoint_span = megate_obs::span("solver.max_endpoint_flow");
-        let dirty_site_pairs: Vec<SitePair> = dirty_pos.iter().map(|&k| st.pairs[k]).collect();
-        let dirty_flows: Vec<Vec<f64>> = dirty_pos
-            .iter()
-            .map(|&k| st.site_flows[k].clone())
-            .collect();
-        let stage =
-            scheme.max_endpoint_flow_all(problem, &dirty_site_pairs, &dirty_flows, &mut assignment);
+        let stage = scheme.max_endpoint_flow_all(problem, &dirty_pairs, &site_flows, assignment);
         drop(endpoint_span);
 
         // Repair only the dirty pairs' endpoints. The merged loads are
         // the carried clean loads plus the dirty stage-3 loads; the
         // dirty contributions (and the candidate list) accumulate in
         // endpoint index order, so at 100 % dirty — where the clean
-        // loads are exactly zero — this reproduces the cold global
+        // loads are exactly zero — this reproduces the stateless global
         // repair pass bitwise. Clean unassigned endpoints are not
         // retried: their repair chances are re-derived at the next
         // cold solve (part of the residual-freeze drift bound).
@@ -520,7 +515,7 @@ impl Core {
                     None => {}
                 }
             }
-            scheme.repair_candidates(problem, &mut assignment, candidates, &mut loads);
+            scheme.repair_candidates(problem, assignment, candidates, &mut loads);
         }
 
         // Refresh only the dirty pairs' tunnel flows. A tunnel belongs
@@ -529,16 +524,15 @@ impl Core {
         // unchanged from last interval; dirty tunnels re-accumulate in
         // endpoint index order — the same order `flows_from_assignment`
         // uses, keeping the 100 %-dirty case bitwise-cold.
-        let mut tunnel_flows = st.tunnel_flows.clone();
-        for &k in &dirty_pos {
-            for &t in problem.tunnels.tunnels_for(st.pairs[k]) {
-                tunnel_flows[t.index()] = 0.0;
+        for &pair in &dirty_pairs {
+            for &t in problem.tunnels.tunnels_for(pair) {
+                st.tunnel_flows[t.index()] = 0.0;
             }
         }
         for (i, mark) in dirty_ep.iter().enumerate() {
             if mark.is_some() {
                 if let Some(t) = assignment[i] {
-                    tunnel_flows[t.index()] += new[i].demand_mbps;
+                    st.tunnel_flows[t.index()] += new[i].demand_mbps;
                 }
             }
         }
@@ -547,25 +541,19 @@ impl Core {
             *v = d.demand_mbps;
         }
         st.caps = caps;
-        st.assignment = assignment.clone();
-        st.tunnel_flows = tunnel_flows.clone();
-        Ok(CoreOutput {
-            assignment,
-            tunnel_flows,
-            stage: Some(stage),
-            carried_endpoints: carried,
-        })
+        Ok((stage, carried))
     }
 }
 
 /// A persistent solve engine that lives across controller intervals
 /// and decides warm-vs-cold per solve. See the module docs for the
-/// warm-interval semantics and equivalence guarantees.
+/// pipeline's semantics and equivalence guarantees.
 pub struct IncrementalEngine {
     scheme: MegaTeScheme,
     config: IncrementalConfig,
-    /// One core when single-shot; one per QoS class when sequential
-    /// (basis and carried state retained per class).
+    /// One core per entry of the interval's class list: one for the
+    /// single pass, one per QoS class when sequential (basis and
+    /// carried state retained per class).
     cores: Vec<Core>,
     warm_solves_since_cold: u64,
 }
@@ -578,18 +566,10 @@ impl IncrementalEngine {
         megate_obs::counter("solver.warm_solves");
         megate_obs::counter("solver.cold_solves");
         megate_obs::counter("solver.dirty_pairs");
-        let cores = if config.qos_sequential {
-            QosClass::IN_PRIORITY_ORDER
-                .iter()
-                .map(|_| Core::default())
-                .collect()
-        } else {
-            vec![Core::default()]
-        };
         Self {
             scheme: MegaTeScheme::new(config.solver.clone()),
             config,
-            cores,
+            cores: Vec::new(),
             warm_solves_since_cold: 0,
         }
     }
@@ -626,44 +606,43 @@ impl IncrementalEngine {
         force_cold: bool,
     ) -> Result<(TeAllocation, IncrementalReport), SolveError> {
         let start = Instant::now();
+        let classes = class_demands(problem.demands, self.config.qos_sequential);
+        self.cores.resize_with(classes.len(), Core::default);
         let cadence_cold = self.config.cold_every != 0
             && self.warm_solves_since_cold + 1 >= self.config.cold_every;
-        let mut cold = force_cold || cadence_cold;
-        // The single-core path computes its dirty set once, here, and
-        // hands it to the solve; the QoS path estimates churn up front
-        // and recomputes per class (lower classes' residual capacities
-        // are only known mid-pass).
-        let mut single_ds: Option<DirtySet> = None;
-        if !cold {
-            if self.config.qos_sequential {
-                match self.upfront_churn_ppm(problem) {
-                    Some(ppm) => cold = ppm > self.config.warm_churn_max_ppm,
-                    None => cold = true, // shape change or no retained state
-                }
-            } else {
-                if self.cores[0].shape_matches(problem.demands, problem.graph.link_count()) {
-                    let caps = problem.link_capacities();
-                    single_ds = self.cores[0].dirty_set(problem.demands, problem.tunnels, &caps);
-                }
-                match &single_ds {
-                    Some(ds) => cold = ds.churn_ppm() > self.config.warm_churn_max_ppm,
-                    None => cold = true, // shape/universe change or no state
-                }
-            }
+        let cold = force_cold
+            || cadence_cold
+            || self
+                .upfront_churn_ppm(problem, &classes)
+                .is_none_or(|ppm| ppm > self.config.warm_churn_max_ppm);
+        if cold {
+            // Nothing retained: every class that runs builds a fresh
+            // state, and a class that lost its demands keeps none.
+            self.invalidate();
         }
 
-        let (mut alloc, mut report) = if self.config.qos_sequential {
-            self.solve_qos(problem, cold)?
-        } else {
-            self.solve_single(problem, cold, single_ds)?
+        let mut report = IncrementalReport {
+            cold,
+            ..Default::default()
         };
+        let scheme = &self.scheme;
+        let cores = &mut self.cores;
+        let name = if self.config.qos_sequential {
+            format!("{}+QoS", scheme.name())
+        } else {
+            scheme.name().to_string()
+        };
+        let mut alloc = solve_classes(name, problem, &classes, |ci, sub| {
+            let (alloc, class) = cores[ci].solve(scheme, sub)?;
+            report.dirty_pairs += class.dirty_pairs;
+            report.total_pairs += class.total_pairs;
+            report.carried_endpoints += class.carried_endpoints;
+            Ok(alloc)
+        })?;
         alloc.solve_time = start.elapsed();
-        report.cold = cold;
 
         if cold {
-            self.warm_solves_since_cold = 0;
             megate_obs::counter("solver.cold_solves").inc();
-            report.dirty_pairs = report.total_pairs;
         } else {
             self.warm_solves_since_cold += 1;
             megate_obs::counter("solver.warm_solves").inc();
@@ -672,37 +651,28 @@ impl IncrementalEngine {
         Ok((alloc, report))
     }
 
-    /// Pre-solve churn estimate across the per-class cores (the QoS
-    /// path only), against each core's retained capacities; the top
-    /// class additionally sees the current graph capacities. `None`
-    /// means a warm solve is not possible (no state, instance shape
-    /// changed, or the pair universe moved).
-    fn upfront_churn_ppm(&self, problem: &TeProblem) -> Option<i64> {
+    /// Pre-solve churn estimate across the cores, each against its
+    /// retained capacities; the first class additionally sees the
+    /// current graph capacities (lower classes run on residuals that
+    /// are only known mid-pass, where each core computes its dirty set
+    /// for real). `None` means a warm solve is not possible (no state,
+    /// instance shape changed, or the pair universe moved).
+    fn upfront_churn_ppm(&self, problem: &TeProblem, classes: &[ClassDemands]) -> Option<i64> {
         let n_links = problem.graph.link_count();
         let caps = problem.link_capacities();
-        let mut dirty = 0usize;
-        let mut total = 0usize;
-        for (ci, &qos) in QosClass::IN_PRIORITY_ORDER.iter().enumerate() {
-            let (class_demands, _) = problem.demands.filter_qos_with_map(qos);
-            let core = &self.cores[ci];
-            if class_demands.is_empty() {
-                if core.state.is_some() {
-                    return None;
+        let (mut dirty, mut total) = (0usize, 0usize);
+        for (ci, (class, core)) in classes.iter().zip(&self.cores).enumerate() {
+            let Some(st) = &core.state else {
+                if class.demands.is_empty() {
+                    continue;
                 }
-                continue;
-            }
-            if !core.shape_matches(&class_demands, n_links) {
+                return None;
+            };
+            if class.demands.is_empty() || !st.shape_matches(&class.demands, n_links) {
                 return None;
             }
-            let st = core.state.as_ref().expect("shape match implies state");
-            // The top class runs on the real graph; lower classes'
-            // residuals are only known mid-pass, so estimate their
-            // capacity churn as zero (the pass computes it for real).
-            let ds = if ci == 0 {
-                core.dirty_set(&class_demands, problem.tunnels, &caps)?
-            } else {
-                core.dirty_set(&class_demands, problem.tunnels, &st.caps)?
-            };
+            let class_caps = if ci == 0 { &caps } else { &st.caps };
+            let ds = st.dirty_set(&class.demands, problem.tunnels, class_caps)?;
             dirty += ds.len();
             total += ds.total();
         }
@@ -710,139 +680,6 @@ impl IncrementalEngine {
             return Some(0);
         }
         Some(((dirty as f64 / total as f64) * 1e6) as i64)
-    }
-
-    fn solve_single(
-        &mut self,
-        problem: &TeProblem,
-        cold: bool,
-        ds: Option<DirtySet>,
-    ) -> Result<(TeAllocation, IncrementalReport), SolveError> {
-        let out = if cold {
-            self.cores[0].solve_cold(&self.scheme, problem)?
-        } else {
-            let ds = ds.expect("warm single solve requires the precomputed dirty set");
-            let out = self.cores[0].solve_warm(&self.scheme, problem, &ds)?;
-            let report = IncrementalReport {
-                cold: false,
-                dirty_pairs: ds.len(),
-                total_pairs: ds.total(),
-                carried_endpoints: out.carried_endpoints,
-            };
-            return Ok((self.wrap_single(out), report));
-        };
-        let total = self.cores[0].state.as_ref().map_or(0, |s| s.pairs.len());
-        let report = IncrementalReport {
-            cold: true,
-            dirty_pairs: total,
-            total_pairs: total,
-            carried_endpoints: 0,
-        };
-        Ok((self.wrap_single(out), report))
-    }
-
-    fn wrap_single(&self, out: CoreOutput) -> TeAllocation {
-        TeAllocation {
-            scheme: self.scheme.name().to_string(),
-            tunnel_flow_mbps: out.tunnel_flows,
-            endpoint_assignment: Some(out.assignment),
-            solve_time: std::time::Duration::ZERO, // set by solve()
-            endpoint_stage: out.stage,
-        }
-    }
-
-    /// The QoS-sequential pass — a faithful mirror of
-    /// [`crate::qos::solve_per_qos`] (same spans, same residual
-    /// arithmetic, same merge), with a warm-startable core per class.
-    /// In steady state a clean higher class leaves a bitwise-identical
-    /// residual, so lower classes stay clean too.
-    fn solve_qos(
-        &mut self,
-        problem: &TeProblem,
-        cold: bool,
-    ) -> Result<(TeAllocation, IncrementalReport), SolveError> {
-        let mut residual = problem.graph.clone();
-        let mut tunnel_flow_mbps = vec![0.0; problem.tunnels.tunnel_count()];
-        let mut merged_assignment = vec![None; problem.demands.len()];
-        let mut endpoint_stage: Option<EndpointStageStats> = None;
-        let mut report = IncrementalReport::default();
-
-        for (ci, &qos) in QosClass::IN_PRIORITY_ORDER.iter().enumerate() {
-            let (class_demands, back_map) = problem.demands.filter_qos_with_map(qos);
-            if class_demands.is_empty() {
-                if cold {
-                    self.cores[ci].state = None;
-                }
-                continue;
-            }
-            let _span = megate_obs::span(match qos {
-                QosClass::Class1 => "solver.qos.class1",
-                QosClass::Class2 => "solver.qos.class2",
-                QosClass::Class3 => "solver.qos.class3",
-            });
-            let sub = TeProblem {
-                graph: &residual,
-                tunnels: problem.tunnels,
-                demands: &class_demands,
-            };
-            let out = if cold {
-                self.cores[ci].solve_cold(&self.scheme, &sub)?
-            } else {
-                let sub_caps = sub.link_capacities();
-                match self.cores[ci].dirty_set(&class_demands, problem.tunnels, &sub_caps) {
-                    Some(ds) => {
-                        report.dirty_pairs += ds.len();
-                        self.cores[ci].solve_warm(&self.scheme, &sub, &ds)?
-                    }
-                    // Unreachable after the upfront universe check (the
-                    // check is capacity-independent), but a cold class
-                    // solve is always a safe answer.
-                    None => self.cores[ci].solve_cold(&self.scheme, &sub)?,
-                }
-            };
-            report.total_pairs += self.cores[ci].state.as_ref().map_or(0, |s| s.pairs.len());
-            report.carried_endpoints += out.carried_endpoints;
-
-            for (t, f) in out.tunnel_flows.iter().enumerate() {
-                tunnel_flow_mbps[t] += f;
-            }
-            for (sub_i, &choice) in out.assignment.iter().enumerate() {
-                merged_assignment[back_map[sub_i]] = choice;
-            }
-            if let Some(s) = &out.stage {
-                endpoint_stage
-                    .get_or_insert_with(EndpointStageStats::default)
-                    .merge(s);
-            }
-
-            // Subtract this class's load from the residual — the same
-            // arithmetic as solve_per_qos, so residuals (and therefore
-            // lower-class dirty sets) match the stateless path bitwise.
-            let mut loads = vec![0.0; residual.link_count()];
-            for t in problem.tunnels.all_tunnels() {
-                let f = out.tunnel_flows[t.id.index()];
-                if f > 0.0 {
-                    for &e in &t.links {
-                        loads[e.index()] += f;
-                    }
-                }
-            }
-            for (e, load) in loads.into_iter().enumerate() {
-                if load > 0.0 {
-                    let link = residual.link_mut(LinkId(e as u32));
-                    link.capacity_mbps = (link.capacity_mbps - load).max(f64::MIN_POSITIVE);
-                }
-            }
-        }
-
-        let alloc = TeAllocation {
-            scheme: format!("{}+QoS", self.scheme.name()),
-            tunnel_flow_mbps,
-            endpoint_assignment: Some(merged_assignment),
-            solve_time: std::time::Duration::ZERO, // set by solve()
-            endpoint_stage,
-        };
-        Ok((alloc, report))
     }
 }
 

@@ -8,18 +8,18 @@
 //! 3. **MaxEndpointFlow** — per site pair, tunnels in ascending-weight
 //!    order, select the endpoint subset for each tunnel's allocation
 //!    `F_{k,t}`. Site pairs are independent and run in parallel (the
-//!    paper's "parallelizable" note on line 11). The production path
-//!    ([`MegaTeScheme::max_endpoint_flow_all`]) runs the flat
+//!    paper's "parallelizable" note on line 11):
+//!    [`MegaTeScheme::max_endpoint_flow_all`] runs the flat
 //!    [`megate_ssp::SolverScratch`] kernel with work-stealing across
-//!    workers; [`MegaTeScheme::max_endpoint_flow`] is the allocating
-//!    scalar reference the equivalence suite pins the flat path to.
+//!    workers. `tests/solver_equivalence.rs` pins it to an allocating
+//!    per-pair scalar reference built on [`megate_ssp::fast_ssp`].
 //!
 //! The result is the binary assignment `f_{k,t}^i` of Equation 1:
 //! every endpoint flow rides exactly one tunnel or is rejected.
 
 use crate::types::{flows_from_assignment, SolveError, TeAllocation, TeProblem, TeScheme};
 use megate_lp::{Commodity, McfProblem, PathSpec};
-use megate_ssp::{fast_ssp, FastSspConfig};
+use megate_ssp::FastSspConfig;
 use megate_topo::{SitePair, TunnelId};
 use std::time::Instant;
 
@@ -193,103 +193,7 @@ impl MegaTeScheme {
         }
     }
 
-    /// Stage 3: `MaxEndpointFlow` for one site pair — selects, for each
-    /// tunnel in ascending-weight order, the subset of still-unassigned
-    /// endpoint demands filling `F_{k,t}`, via FastSSP. Returns
-    /// `(demand index, tunnel)` picks.
-    pub fn max_endpoint_flow(
-        &self,
-        problem: &TeProblem,
-        pair: SitePair,
-        site_flow: &[f64],
-    ) -> Vec<(usize, TunnelId)> {
-        let tunnels = problem.tunnels.tunnels_for(pair);
-        debug_assert_eq!(tunnels.len(), site_flow.len());
-        let indices = problem.demands.indices_for(pair);
-        let demands = problem.demands.demands();
-
-        // Work in kbps integers: demands round to nearest, capacities
-        // floor — so the integer solution can never overfill F_{k,t}.
-        // Each endpoint's item value is pair-constant, so it is rounded
-        // once here instead of once per tunnel.
-        let kbps: Vec<u64> = indices
-            .iter()
-            .map(|&i| (demands[i].demand_mbps * 1000.0).round().max(1.0) as u64)
-            .collect();
-        // `unassigned` holds positions into `indices`/`kbps`. `order`
-        // is the same set sorted (value desc, position asc) exactly
-        // once; after each tunnel both are maintained by filtering out
-        // the assigned positions, which preserves the relative order —
-        // identical to the old per-tunnel clone + sort, minus the
-        // `O(T · n log n)` cost.
-        let mut unassigned: Vec<usize> = (0..indices.len()).collect();
-        let mut order: Vec<usize> = (0..indices.len()).collect();
-        order.sort_by(|&a, &b| kbps[b].cmp(&kbps[a]).then(a.cmp(&b)));
-        let mut remaining_kbps: u64 = kbps.iter().sum();
-        let mut picks = Vec::new();
-        let cfg = FastSspConfig {
-            epsilon_prime: self.config.fastssp_epsilon,
-        };
-        for (t_idx, &t) in tunnels.iter().enumerate() {
-            if unassigned.is_empty() {
-                break;
-            }
-            let capacity_kbps = (site_flow[t_idx] * 1000.0).floor() as u64;
-            if capacity_kbps == 0 {
-                continue;
-            }
-
-            // Fast path 1: the tunnel carries everything still
-            // unassigned — selecting all is trivially optimal.
-            if remaining_kbps <= capacity_kbps {
-                for &u in &unassigned {
-                    picks.push((indices[u], t));
-                }
-                unassigned.clear();
-                break;
-            }
-
-            // Fast path 2: greedy over descending sizes. A greedy fill
-            // that lands exactly on the capacity is provably optimal
-            // for the subset-sum, so FastSSP can be skipped.
-            let mut acc = 0u64;
-            let mut exact = vec![false; indices.len()];
-            for &u in &order {
-                if acc + kbps[u] <= capacity_kbps {
-                    acc += kbps[u];
-                    exact[u] = true;
-                    if acc == capacity_kbps {
-                        break;
-                    }
-                }
-            }
-            if acc == capacity_kbps {
-                for &u in &unassigned {
-                    if exact[u] {
-                        picks.push((indices[u], t));
-                        remaining_kbps -= kbps[u];
-                    }
-                }
-                unassigned.retain(|&u| !exact[u]);
-                order.retain(|&u| !exact[u]);
-                continue;
-            }
-
-            let items: Vec<u64> = unassigned.iter().map(|&u| kbps[u]).collect();
-            let sol = fast_ssp(&items, capacity_kbps, cfg);
-            let mut taken = vec![false; indices.len()];
-            for &sel in &sol.solution.selected {
-                taken[unassigned[sel]] = true;
-                picks.push((indices[unassigned[sel]], t));
-                remaining_kbps -= kbps[unassigned[sel]];
-            }
-            unassigned.retain(|&u| !taken[u]);
-            order.retain(|&u| !taken[u]);
-        }
-        picks
-    }
-
-    /// Stage 3 over **all** site pairs: the production path. Runs the
+    /// Stage 3, `MaxEndpointFlow`, over the given site pairs. Runs the
     /// flat [`megate_ssp::SolverScratch`] kernel (zero steady-state allocation,
     /// one sort per pair) across `threads` workers with work-stealing
     /// over the site pairs, writing tunnel choices into `assignment`.

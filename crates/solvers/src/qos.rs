@@ -6,59 +6,101 @@
 //! `c_e ← c_e − Σ d f L(t,e)`, which is then used for the lower QoS
 //! class."
 //!
-//! [`solve_per_qos`] wraps any [`TeScheme`], solving class 1 on the full
-//! topology, then class 2 on the residual, then class 3, and merging
-//! the three allocations back into one whole-interval allocation with
-//! original demand indexing.
+//! `solve_classes` is that loop, once: it walks a class list on the
+//! residual graph, hands each class's sub-problem to the caller's
+//! solve, and merges the allocations back into one whole-interval
+//! allocation with original demand indexing. [`solve_per_qos`] drives it
+//! with any stateless [`TeScheme`]; the incremental engine drives it
+//! with its retained per-class cores.
 
 use crate::types::{EndpointStageStats, SolveError, TeAllocation, TeProblem, TeScheme};
 use megate_topo::LinkId;
-use megate_traffic::QosClass;
-use std::time::{Duration, Instant};
+use megate_traffic::{DemandSet, QosClass};
+use std::borrow::Cow;
+use std::time::Instant;
 
-/// Solves the instance class by class on residual capacity.
-pub fn solve_per_qos<S: TeScheme>(
-    scheme: &S,
+/// One pass of the class loop: a demand subset and where each of its
+/// demands sits in the interval's whole set.
+pub(crate) struct ClassDemands<'a> {
+    /// The class, or `None` for the single pass over all demands.
+    qos: Option<QosClass>,
+    /// The pass's demands.
+    pub(crate) demands: Cow<'a, DemandSet>,
+    /// Index in `demands` → index in the whole set (`None`: the same).
+    back_map: Option<Vec<usize>>,
+}
+
+/// The class list of one interval: the three classes in priority order,
+/// or — when not `sequential` — one pass over all demands.
+pub(crate) fn class_demands(demands: &DemandSet, sequential: bool) -> Vec<ClassDemands<'_>> {
+    if !sequential {
+        return vec![ClassDemands {
+            qos: None,
+            demands: Cow::Borrowed(demands),
+            back_map: None,
+        }];
+    }
+    QosClass::IN_PRIORITY_ORDER
+        .into_iter()
+        .map(|qos| {
+            let (class, back_map) = demands.filter_qos_with_map(qos);
+            ClassDemands {
+                qos: Some(qos),
+                demands: Cow::Owned(class),
+                back_map: Some(back_map),
+            }
+        })
+        .collect()
+}
+
+/// Solves `classes` in order, each on the capacity the earlier ones
+/// left (`c_e ← c_e − Σ d f L(t,e)`), with `solve_class(position,
+/// sub_problem)`; classes without demands are skipped. The merged
+/// allocation carries endpoint assignments unless a class that ran had
+/// none.
+pub(crate) fn solve_classes(
+    scheme: String,
     problem: &TeProblem,
+    classes: &[ClassDemands],
+    mut solve_class: impl FnMut(usize, &TeProblem) -> Result<TeAllocation, SolveError>,
 ) -> Result<TeAllocation, SolveError> {
     let start = Instant::now();
     let mut residual = problem.graph.clone();
     let mut tunnel_flow_mbps = vec![0.0; problem.tunnels.tunnel_count()];
-    let mut merged_assignment = vec![None; problem.demands.len()];
-    let mut any_assignment = false;
-    let mut all_classes_assignable = true;
+    let mut merged_assignment = Some(vec![None; problem.demands.len()]);
     let mut endpoint_stage: Option<EndpointStageStats> = None;
 
-    for qos in QosClass::IN_PRIORITY_ORDER {
-        let (class_demands, back_map) = problem.demands.filter_qos_with_map(qos);
-        if class_demands.is_empty() {
+    for (ci, class) in classes.iter().enumerate() {
+        if class.demands.is_empty() {
             continue;
         }
         // Per-class allocation time (span names must be static).
-        let _span = megate_obs::span(match qos {
-            QosClass::Class1 => "solver.qos.class1",
-            QosClass::Class2 => "solver.qos.class2",
-            QosClass::Class3 => "solver.qos.class3",
+        let _span = class.qos.map(|qos| {
+            megate_obs::span(match qos {
+                QosClass::Class1 => "solver.qos.class1",
+                QosClass::Class2 => "solver.qos.class2",
+                QosClass::Class3 => "solver.qos.class3",
+            })
         });
         let sub = TeProblem {
             graph: &residual,
             tunnels: problem.tunnels,
-            demands: &class_demands,
+            demands: &class.demands,
         };
-        let alloc = scheme.solve(&sub)?;
+        let alloc = solve_class(ci, &sub)?;
 
         // Merge flows and (when present) per-demand assignments.
         for (t, f) in alloc.tunnel_flow_mbps.iter().enumerate() {
             tunnel_flow_mbps[t] += f;
         }
-        match &alloc.endpoint_assignment {
-            Some(assign) => {
-                any_assignment = true;
+        match (&mut merged_assignment, &alloc.endpoint_assignment) {
+            (Some(merged), Some(assign)) => {
                 for (sub_i, &choice) in assign.iter().enumerate() {
-                    merged_assignment[back_map[sub_i]] = choice;
+                    let i = class.back_map.as_ref().map_or(sub_i, |m| m[sub_i]);
+                    merged[i] = choice;
                 }
             }
-            None => all_classes_assignable = false,
+            _ => merged_assignment = None,
         }
         // The interval's stage-3 profile is the sum over classes (each
         // class runs MaxEndpointFlow once on its sub-problem).
@@ -79,18 +121,32 @@ pub fn solve_per_qos<S: TeScheme>(
     }
 
     Ok(TeAllocation {
-        scheme: format!("{}+QoS", scheme.name()),
+        scheme,
         tunnel_flow_mbps,
-        endpoint_assignment: (any_assignment && all_classes_assignable)
-            .then_some(merged_assignment),
-        solve_time: start.elapsed() + Duration::ZERO,
+        endpoint_assignment: merged_assignment,
+        solve_time: start.elapsed(),
         endpoint_stage,
     })
+}
+
+/// Solves the instance class by class on residual capacity.
+pub fn solve_per_qos<S: TeScheme>(
+    scheme: &S,
+    problem: &TeProblem,
+) -> Result<TeAllocation, SolveError> {
+    let classes = class_demands(problem.demands, true);
+    solve_classes(
+        format!("{}+QoS", scheme.name()),
+        problem,
+        &classes,
+        |_, sub| scheme.solve(sub),
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::incremental::{IncrementalConfig, IncrementalEngine};
     use crate::megate::MegaTeScheme;
     use crate::teal::TealScheme;
     use megate_topo::{b4, EndpointCatalog, TunnelTable, WeibullEndpoints};
@@ -184,6 +240,35 @@ mod tests {
         assert!(alloc.endpoint_assignment.is_none());
         assert!(alloc.check_feasible(&p, 1e-6));
         assert!(alloc.satisfied_mbps() > 0.0);
+    }
+
+    #[test]
+    fn empty_demands_keep_the_assignment_on_every_path() {
+        // The controller maps a missing assignment to an error, so an
+        // interval without demands must still answer `Some([])` — from
+        // the stateless scheme, the class loop and the engine alike.
+        let g = b4();
+        let tunnels = TunnelTable::for_all_pairs(&g, 2);
+        let demands = DemandSet::default();
+        let p = TeProblem {
+            graph: &g,
+            tunnels: &tunnels,
+            demands: &demands,
+        };
+        let scheme = MegaTeScheme::default();
+        let direct = scheme.solve(&p).unwrap();
+        let per_qos = solve_per_qos(&scheme, &p).unwrap();
+        assert_eq!(direct.endpoint_assignment, Some(vec![]));
+        assert_eq!(per_qos.endpoint_assignment, Some(vec![]));
+        assert_eq!(per_qos.satisfied_mbps(), 0.0);
+        for qos_sequential in [false, true] {
+            let mut engine = IncrementalEngine::new(IncrementalConfig {
+                qos_sequential,
+                ..Default::default()
+            });
+            let (alloc, _) = engine.solve(&p, false).unwrap();
+            assert_eq!(alloc.endpoint_assignment, Some(vec![]));
+        }
     }
 
     #[test]

@@ -35,13 +35,11 @@ pub mod exact;
 pub mod fastssp;
 pub mod flat;
 pub mod greedy;
-pub mod meet_middle;
 
 pub use exact::{dp_subset_sum, dp_subset_sum_with, DpScratch};
 pub use fastssp::{fast_ssp, FastSspConfig, FastSspSolution};
 pub use flat::{recycle_scratch, take_scratch, SolverScratch};
 pub use greedy::{first_fit_ascending, first_fit_descending};
-pub use meet_middle::meet_in_the_middle;
 
 /// A solution to a subset-sum instance: indices of the selected items
 /// and their total, guaranteed `total <= capacity`.

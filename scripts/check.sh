@@ -6,27 +6,29 @@ cd "$(dirname "$0")/.."
 
 cargo fmt --all -- --check
 cargo build --release
+# The whole workspace, debug build, default features. Among the suites
+# this one run covers:
+# - megate-obs with live metrics (the compiled-out configuration runs
+#   separately, below);
+# - tests/chaos.rs: seeded fault storms against the full control loop
+#   (bounded staleness, zero blackholing, replayable by seed);
+# - tests/partition.rs: controller crashes, restarts mid-solve, missed
+#   publishes and splits layered on database faults (no double-booked
+#   links, the DB-outage ladder for dead slices);
+# - tests/dataplane_batch.rs: batched multi-core accounting must stay
+#   bitwise-identical to the frame-at-a-time chain;
+# - tests/solver_equivalence.rs: work-stealing MaxEndpointFlow must stay
+#   bitwise-identical to the scalar reference at every thread count;
+# - tests/incremental.rs: cold and 100%-dirty engine solves bitwise-equal
+#   the stateless scheme, zero churn publishes nothing, warm/cold
+#   interleavings stay feasible;
+# - megate-net's protocol, service_chaos and transport_equivalence:
+#   wire-protocol edge cases + the PROTOCOL.md codec-fingerprint pin, and
+#   the chaos invariants re-proven over real TCP.
 cargo test -q
-# The observability substrate in both configurations: live metrics and
-# the compiled-out `disabled` feature (record paths must vanish).
-cargo test -q -p megate-obs
+# The observability substrate with the `disabled` feature: record paths
+# must vanish.
 cargo test -q -p megate-obs --features disabled
-# The chaos harness: seeded fault storms against the full control loop
-# (bounded staleness, zero blackholing, replayable by seed).
-cargo test -q --test chaos
-# The partitioned-controller chaos harness: controller crashes, restarts
-# mid-solve, missed publishes and splits layered on database faults
-# (no double-booked links, the DB-outage ladder for dead slices).
-cargo test -q --test partition
-# The batched fast-path equivalence gate: batched multi-core accounting
-# must stay bitwise-identical to the frame-at-a-time chain.
-cargo test -q --test dataplane_batch
-# The flat stage-3 kernel equivalence gate: work-stealing MaxEndpointFlow
-# must stay bitwise-identical to the scalar path at every thread count.
-cargo test -q --test solver_equivalence
-# The incremental-engine gate: 100%-dirty warm solves bitwise-equal cold,
-# zero churn publishes nothing, warm/cold interleavings stay feasible.
-cargo test -q --test incremental
 # A reduced fig_solver_scale run: 1M-class stage 3 must keep its busy-time
 # scaling gate even at quick scale.
 cargo run -q -p megate-bench --release --bin fig_solver_scale -- --scale quick
@@ -40,11 +42,6 @@ cargo run -q -p megate-bench --release --bin fig_propagation -- --scale quick
 # chaos must keep zero blackholing, no double-booked links and <=2%
 # satisfied-demand loss vs the single-controller twin.
 cargo run -q -p megate-bench --release --bin fig_partition -- --scale quick
-# The socket-service suites: wire-protocol edge cases + the PROTOCOL.md
-# codec-fingerprint pin, and the chaos invariants re-proven over real TCP.
-cargo test -q -p megate-net --test protocol
-cargo test -q -p megate-net --test service_chaos
-cargo test -q -p megate-net --test transport_equivalence
 # Both crates of the delivery round again at release speed: the
 # flush-before-fault ordering, the executor's parked-worker count and
 # the timer fired flag are races a debug build is too slow to lose.

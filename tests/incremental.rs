@@ -125,6 +125,54 @@ fn full_dirty_qos_warm_solve_matches_solve_per_qos() {
 }
 
 #[test]
+fn single_class_demands_solve_the_same_with_and_without_the_class_loop() {
+    // With every demand in Class1 the three-class list has one
+    // non-empty entry, whose sub-problem is the whole instance on the
+    // full graph: the sequential and single-pass engines must agree
+    // bitwise — cold, at 100 % dirty, and after one pair moves.
+    let graph = megate_topo::b4();
+    let tunnels = TunnelTable::for_all_pairs(&graph, 3);
+    let catalog = EndpointCatalog::generate(&graph, 1000, WeibullEndpoints::with_scale(40.0), 61);
+    let mut demands = DemandSet::generate(
+        &graph,
+        &catalog,
+        &TrafficConfig {
+            endpoint_pairs: 500,
+            site_pairs: 18,
+            sigma: 0.8,
+            seed: 61,
+            qos_mix: [1.0, 0.0, 0.0],
+            ..Default::default()
+        },
+    );
+    demands.scale_to_load(&graph, 1.1);
+    assert!(demands.demands().iter().all(|d| d.qos == QosClass::Class1));
+
+    let mut sequential = always_warm(true);
+    let mut single = always_warm(false);
+    let mut assert_same = |step: &str, demands: &DemandSet, expect_cold: bool| {
+        let p = TeProblem {
+            graph: &graph,
+            tunnels: &tunnels,
+            demands,
+        };
+        let (a, ra) = sequential.solve(&p, false).unwrap();
+        let (b, rb) = single.solve(&p, false).unwrap();
+        assert_eq!((ra.cold, rb.cold), (expect_cold, expect_cold), "{step}");
+        assert_eq!(ra.dirty_pairs, rb.dirty_pairs, "{step}");
+        assert_eq!(ra.total_pairs, rb.total_pairs, "{step}");
+        assert_eq!(a.endpoint_assignment, b.endpoint_assignment, "{step}");
+        assert_eq!(a.tunnel_flow_mbps, b.tunnel_flow_mbps, "{step}");
+    };
+    assert_same("cold", &demands, true);
+    demands.scale(1.02);
+    assert_same("100% dirty", &demands, false);
+    let pair = demands.pairs().next().unwrap();
+    perturb_pair(&mut demands, pair, 1.3);
+    assert_same("one pair", &demands, false);
+}
+
+#[test]
 fn zero_churn_warm_solve_publishes_an_empty_diff() {
     let (graph, tunnels, demands) = instance(400, 16, 0.8, 47);
     let p = TeProblem {

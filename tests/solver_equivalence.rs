@@ -2,7 +2,8 @@
 //!
 //! The flat structure-of-arrays stage 3 (`max_endpoint_flow_all` over
 //! `megate_ssp::SolverScratch`) replaced the allocating scalar path in
-//! `MegaTeScheme::solve`. Its license to exist is *bitwise identity*:
+//! `MegaTeScheme::solve`; that scalar path lives on here, as
+//! [`scalar_pair`]. The kernel's license to exist is *bitwise identity*:
 //! for every site pair the selected endpoints must equal the scalar
 //! reference path's exactly — same subsets, same tunnels — and the
 //! result must not depend on the worker-thread count (work-stealing
@@ -13,6 +14,7 @@
 
 use megate::prelude::*;
 use megate_solvers::megate::MegaTeConfig;
+use megate_ssp::{fast_ssp, FastSspConfig};
 use megate_topo::TunnelId;
 use proptest::prelude::*;
 
@@ -45,7 +47,98 @@ fn instance(
     (tunnels, demands)
 }
 
-/// Stage 3 via the scalar reference path (`max_endpoint_flow` pair by
+/// The scalar reference: `MaxEndpointFlow` for one site pair — for each
+/// tunnel in ascending-weight order, the subset of still-unassigned
+/// endpoint demands filling `F_{k,t}`, via the allocating
+/// [`megate_ssp::fast_ssp`]. Returns `(demand index, tunnel)` picks.
+fn scalar_pair(
+    scheme: &MegaTeScheme,
+    problem: &TeProblem,
+    pair: SitePair,
+    site_flow: &[f64],
+) -> Vec<(usize, TunnelId)> {
+    let tunnels = problem.tunnels.tunnels_for(pair);
+    assert_eq!(tunnels.len(), site_flow.len());
+    let indices = problem.demands.indices_for(pair);
+    let demands = problem.demands.demands();
+
+    // Work in kbps integers: demands round to nearest, capacities
+    // floor — so the integer solution can never overfill F_{k,t}.
+    let kbps: Vec<u64> = indices
+        .iter()
+        .map(|&i| (demands[i].demand_mbps * 1000.0).round().max(1.0) as u64)
+        .collect();
+    // `unassigned` holds positions into `indices`/`kbps`. `order` is
+    // the same set sorted (value desc, position asc) once; after each
+    // tunnel both are filtered, which preserves the relative order.
+    let mut unassigned: Vec<usize> = (0..indices.len()).collect();
+    let mut order: Vec<usize> = (0..indices.len()).collect();
+    order.sort_by(|&a, &b| kbps[b].cmp(&kbps[a]).then(a.cmp(&b)));
+    let mut remaining_kbps: u64 = kbps.iter().sum();
+    let mut picks = Vec::new();
+    let cfg = FastSspConfig {
+        epsilon_prime: scheme.config.fastssp_epsilon,
+    };
+    for (t_idx, &t) in tunnels.iter().enumerate() {
+        if unassigned.is_empty() {
+            break;
+        }
+        let capacity_kbps = (site_flow[t_idx] * 1000.0).floor() as u64;
+        if capacity_kbps == 0 {
+            continue;
+        }
+
+        // Fast path 1: the tunnel carries everything still
+        // unassigned — selecting all is trivially optimal.
+        if remaining_kbps <= capacity_kbps {
+            for &u in &unassigned {
+                picks.push((indices[u], t));
+            }
+            unassigned.clear();
+            break;
+        }
+
+        // Fast path 2: greedy over descending sizes. A greedy fill
+        // that lands exactly on the capacity is provably optimal
+        // for the subset-sum, so FastSSP can be skipped.
+        let mut acc = 0u64;
+        let mut exact = vec![false; indices.len()];
+        for &u in &order {
+            if acc + kbps[u] <= capacity_kbps {
+                acc += kbps[u];
+                exact[u] = true;
+                if acc == capacity_kbps {
+                    break;
+                }
+            }
+        }
+        if acc == capacity_kbps {
+            for &u in &unassigned {
+                if exact[u] {
+                    picks.push((indices[u], t));
+                    remaining_kbps -= kbps[u];
+                }
+            }
+            unassigned.retain(|&u| !exact[u]);
+            order.retain(|&u| !exact[u]);
+            continue;
+        }
+
+        let items: Vec<u64> = unassigned.iter().map(|&u| kbps[u]).collect();
+        let sol = fast_ssp(&items, capacity_kbps, cfg);
+        let mut taken = vec![false; indices.len()];
+        for &sel in &sol.solution.selected {
+            taken[unassigned[sel]] = true;
+            picks.push((indices[unassigned[sel]], t));
+            remaining_kbps -= kbps[unassigned[sel]];
+        }
+        unassigned.retain(|&u| !taken[u]);
+        order.retain(|&u| !taken[u]);
+    }
+    picks
+}
+
+/// Stage 3 via the scalar reference path ([`scalar_pair`] pair by
 /// pair, serial).
 fn scalar_stage3(
     scheme: &MegaTeScheme,
@@ -55,7 +148,7 @@ fn scalar_stage3(
 ) -> Vec<Option<TunnelId>> {
     let mut assignment = vec![None; p.demands.len()];
     for (k, &pair) in pairs.iter().enumerate() {
-        for (i, t) in scheme.max_endpoint_flow(p, pair, &site_flows[k]) {
+        for (i, t) in scalar_pair(scheme, p, pair, &site_flows[k]) {
             assignment[i] = Some(t);
         }
     }
