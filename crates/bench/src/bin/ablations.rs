@@ -5,13 +5,13 @@
 //! 2. **Exact simplex vs FPTAS** for MaxSiteFlow — quality and time;
 //! 3. **FastSSP's ε′ sweep** — the cluster threshold `M = ε′F/3` and
 //!    normalization `δ = ε′M/3` trade accuracy for DP size;
-//! 4. **Query spreading on/off** for the pull loop.
+//! 4. **MaxEndpointFlow parallelism** — worker-count sweep;
+//! 5. **Residual repair on/off**.
 
 use megate_bench::{build_instance, fmt_pct, fmt_seconds, print_table, write_json};
 use megate_solvers::megate::LpMode;
 use megate_solvers::{MegaTeConfig, MegaTeScheme, TeScheme};
 use megate_ssp::{dp_subset_sum, fast_ssp, first_fit_descending, FastSspConfig};
-use megate_tedb::{simulate_pull_sync, SyncConfig};
 use megate_topo::TopologySpec;
 use serde::Serialize;
 use std::time::Instant;
@@ -148,39 +148,7 @@ fn main() {
         &rows,
     );
 
-    // ---- 4. Query spreading on/off.
-    let mut rows = Vec::new();
-    for (name, spreading) in [("spread over 10 s", true), ("all at once", false)] {
-        let out = simulate_pull_sync(&SyncConfig {
-            n_endpoints: 1_000_000,
-            spreading,
-            ..Default::default()
-        });
-        rows.push(vec![
-            name.into(),
-            format!("{:.0}", out.per_shard_peak_qps),
-            out.overloaded_ticks.to_string(),
-            format!("{} ms", out.convergence_ms),
-        ]);
-        records.push(AblationRecord {
-            experiment: "spreading".into(),
-            variant: name.into(),
-            metric: "per_shard_peak_qps".into(),
-            value: out.per_shard_peak_qps,
-        });
-    }
-    print_table(
-        "Ablation 4: pull-loop query spreading (1M endpoints, 2 shards)",
-        &[
-            "mode",
-            "per-shard peak qps",
-            "overloaded ticks",
-            "convergence",
-        ],
-        &rows,
-    );
-
-    // ---- 5. Parallelism in MaxEndpointFlow (§8 "Parallelism in SSP"):
+    // ---- 4. Parallelism in MaxEndpointFlow (§8 "Parallelism in SSP"):
     // the per-site-pair SSPs are independent; sweep the worker count.
     let inst = build_instance(TopologySpec::Cogentco, 20_000, 5);
     let p5 = inst.problem();
@@ -211,13 +179,13 @@ fn main() {
         });
     }
     print_table(
-        "Ablation 5: MaxEndpointFlow parallelism (Cogentco*, 20k endpoints; \
+        "Ablation 4: MaxEndpointFlow parallelism (Cogentco*, 20k endpoints; \
          §8 'Parallelism in SSP')",
         &["threads", "solve time", "speedup", "satisfied"],
         &rows,
     );
 
-    // ---- 6. Residual repair on/off: the implementation refinement
+    // ---- 5. Residual repair on/off: the implementation refinement
     // beyond Algorithm 1 (first-fit LP-stranded flows onto true link
     // headroom). Matters most when |I_k| is small (few, large flows).
     let mut rows = Vec::new();
@@ -244,7 +212,7 @@ fn main() {
         }
     }
     print_table(
-        "Ablation 6: residual-repair pass (B4*; repair recovers capacity the \
+        "Ablation 5: residual-repair pass (B4*; repair recovers capacity the \
          fractional first stage strands on indivisible flows)",
         &["configuration", "satisfied", "solve time"],
         &rows,

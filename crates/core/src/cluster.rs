@@ -936,7 +936,7 @@ mod tests {
         assert!(a.event_count() > 0, "default rates schedule something");
         // Every crash pairs with a later heal; partition 0 never crashes.
         let mut down = vec![0i64; 3];
-        for (_, evs) in &a.events {
+        for evs in a.events.values() {
             for &(p, ev) in evs {
                 match ev {
                     ControllerFaultEvent::Crash => {

@@ -19,8 +19,13 @@
 //!   block the agent across periods;
 //! * each attempt polls the partition's version itself (the in-process
 //!   harness polls once per partition for the whole fleet).
+//!
+//! [`pull_round`] drives a whole fleet through one sync period with the
+//! §3.2 query spreading: agent `i` of `n` pulls at `i·spread/n`, and a
+//! bounded set of runner tasks claims agents in order.
 
 use crate::client::NetClient;
+use crate::exec::Executor;
 use crate::frame::{Request, Response};
 use crate::reactor::{timeout, Sleep};
 use megate::config::{ConfigDelta, EndpointConfig};
@@ -28,7 +33,7 @@ use megate::resilience::{
     InstallTarget, PullLadder, PullPolicy, PullRead, PullStep, StalenessClock,
 };
 use megate_obs::{Counter, Histogram, Lazy};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
 static PULL_LATENCY_NS: Lazy<Histogram> = Lazy::histogram("net.pull_latency_ns");
@@ -218,6 +223,69 @@ impl Agent {
         }
         (self.version >= target, via_snapshot)
     }
+}
+
+/// One agent's pull in a [`pull_round`].
+#[derive(Debug, Clone, Copy)]
+pub struct FleetPull {
+    /// What the pull accomplished.
+    pub report: PullReport,
+    /// From the agent's slot to the end of its pull, including any wait
+    /// for a free runner — so a backed-up service cannot hide its queue.
+    pub latency: Duration,
+    /// From the start of the round to the end of this pull.
+    pub done_at: Duration,
+}
+
+/// One sync period for a fleet: agent `i` of `n` pulls no earlier than
+/// `i·spread/n` after the call (a zero `spread` is a burst), with at
+/// most `runners` pulls in flight. Runner tasks claim agents in fleet
+/// order from one shared cursor, so a slow pull delays only the agents
+/// its runner has yet to claim. Returns every agent's pull, in fleet
+/// order; `agents` keeps its order.
+pub fn pull_round(
+    exec: &Executor,
+    client: &Arc<NetClient>,
+    agents: &mut Vec<Agent>,
+    spread: Duration,
+    runners: usize,
+) -> Vec<FleetPull> {
+    let n = agents.len();
+    let queue = Arc::new(Mutex::new(std::mem::take(agents).into_iter().enumerate()));
+    let (tx, rx) = mpsc::channel();
+    let start = Instant::now();
+    for _ in 0..runners.clamp(1, n.max(1)) {
+        let (queue, client, tx) = (queue.clone(), client.clone(), tx.clone());
+        exec.spawn(async move {
+            loop {
+                let next = queue.lock().expect("fleet queue poisoned").next();
+                let Some((i, mut agent)) = next else { break };
+                let due = start + spread * i as u32 / n as u32;
+                Sleep::until(due).await;
+                let report = agent.sync_period_pull(&client).await;
+                let done = Instant::now();
+                let pull = FleetPull {
+                    report,
+                    latency: done - due,
+                    done_at: done - start,
+                };
+                if tx.send((i, agent, pull)).is_err() {
+                    break;
+                }
+            }
+        });
+    }
+    drop(tx);
+    let mut back: Vec<Option<(Agent, FleetPull)>> = (0..n).map(|_| None).collect();
+    for (i, agent, pull) in rx {
+        back[i] = Some((agent, pull));
+    }
+    let pulls;
+    (*agents, pulls) = back
+        .into_iter()
+        .map(|b| b.expect("every claimed agent comes back"))
+        .unzip();
+    pulls
 }
 
 /// One request. Every failure class — outage error, CRC failure,

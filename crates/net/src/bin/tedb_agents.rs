@@ -5,38 +5,23 @@
 //!             [--conns 32] [--period-secs 10] [--rounds 5]
 //! ```
 //!
-//! Spawns `--agents` agents as async tasks sharing a pool of
-//! `--conns` multiplexed connections. Each sync period every agent
-//! runs one pull (polls spread across the first half of the period so
-//! the fleet doesn't stampede), then a round summary is printed:
-//! refreshed/degraded counts and pull-latency quantiles.
+//! Runs `--agents` agents over a pool of `--conns` multiplexed
+//! connections. Each sync period every agent runs one pull, the pulls
+//! spread over the part of the period that leaves each a full retry
+//! budget (so the fleet doesn't stampede), then a round summary is
+//! printed: refreshed/degraded counts and pull-latency quantiles over
+//! every pull.
 
+mod cli;
+
+use cli::arg;
 use megate::resilience::PullPolicy;
-use megate_net::agent::Agent;
+use megate_net::agent::{pull_round, Agent};
 use megate_net::{Endpoint, Executor, NetClient};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-fn arg<T: std::str::FromStr>(args: &[String], name: &str, default: T) -> T
-where
-    T::Err: std::fmt::Display,
-{
-    match args.iter().position(|a| a == name) {
-        Some(i) => match args.get(i + 1).map(|v| v.parse::<T>()) {
-            Some(Ok(v)) => v,
-            Some(Err(e)) => {
-                eprintln!("bad value for {name}: {e}");
-                std::process::exit(2);
-            }
-            None => {
-                eprintln!("{name} needs a value");
-                std::process::exit(2);
-            }
-        },
-        None => default,
-    }
-}
+/// Pulls in flight at once.
+const RUNNERS: usize = 2048;
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -51,68 +36,25 @@ fn main() {
     println!("agents: {agents} agents over {conns} conns to {connect}");
 
     let period = Duration::from_secs(period_secs);
-    // Agents are taken out of their slot for the pull and put back
-    // after (a guard can't be held across an await point).
-    let fleet: Vec<Arc<Mutex<Option<Agent>>>> = (0..agents)
-        .map(|i| Arc::new(Mutex::new(Some(Agent::new(i, 0, PullPolicy::default())))))
-        .collect();
+    let policy = PullPolicy::default();
+    let spread = period.saturating_sub(Duration::from_nanos(policy.deadline_ns));
+    let mut fleet: Vec<Agent> = (0..agents).map(|i| Agent::new(i, 0, policy)).collect();
     for round in 1..=rounds {
-        let refreshed = Arc::new(AtomicU64::new(0));
-        let degraded = Arc::new(AtomicU64::new(0));
-        let latencies: Arc<Mutex<Vec<u64>>> = Arc::new(Mutex::new(Vec::new()));
-        let done = Arc::new(AtomicU64::new(0));
-        for (i, agent) in fleet.iter().enumerate() {
-            let client = client.clone();
-            let agent = agent.clone();
-            let (refreshed, degraded, latencies, done) = (
-                refreshed.clone(),
-                degraded.clone(),
-                latencies.clone(),
-                done.clone(),
-            );
-            // Spread polls across the first half of the sync period.
-            let offset = period.mul_f64(0.5) * (i as u32 % 1000) / 1000;
-            exec.spawn(async move {
-                megate_net::reactor::Sleep::after(offset).await;
-                let Some(mut a) = agent.lock().unwrap().take() else {
-                    return;
-                };
-                let report = a.sync_period_pull(&client).await;
-                *agent.lock().unwrap() = Some(a);
-                if report.refreshed {
-                    refreshed.fetch_add(1, Ordering::Relaxed);
-                    latencies
-                        .lock()
-                        .unwrap()
-                        .push(report.elapsed.as_nanos() as u64);
-                }
-                if report.degraded {
-                    degraded.fetch_add(1, Ordering::Relaxed);
-                }
-                done.fetch_add(1, Ordering::Relaxed);
-            });
-        }
-        while done.load(Ordering::Relaxed) < agents {
-            std::thread::sleep(Duration::from_millis(20));
-        }
-        let mut lat = latencies.lock().unwrap().clone();
+        let started = Instant::now();
+        let pulls = pull_round(&exec, &client, &mut fleet, spread, RUNNERS);
+        let mut lat: Vec<Duration> = pulls.iter().map(|p| p.latency).collect();
         lat.sort_unstable();
-        let q = |p: f64| -> f64 {
-            if lat.is_empty() {
-                return 0.0;
-            }
-            let i = ((lat.len() - 1) as f64 * p) as usize;
-            lat[i] as f64 / 1e6
-        };
+        let q = |p: f64| lat.get(((lat.len().max(1) - 1) as f64 * p) as usize);
+        let ms = |d: Option<&Duration>| d.map_or(0.0, |d| d.as_secs_f64() * 1e3);
         println!(
             "round {round}: {}/{agents} refreshed, {} degraded, pull p50 {:.2} ms p99 {:.2} ms",
-            refreshed.load(Ordering::Relaxed),
-            degraded.load(Ordering::Relaxed),
-            q(0.50),
-            q(0.99),
+            pulls.iter().filter(|p| p.report.refreshed).count(),
+            pulls.iter().filter(|p| p.report.degraded).count(),
+            ms(q(0.50)),
+            ms(q(0.99)),
         );
         if round < rounds {
-            std::thread::sleep(period);
+            std::thread::sleep(period.saturating_sub(started.elapsed()));
         }
     }
 }

@@ -29,7 +29,9 @@
 //! * [`client`] — a pooled multiplexing client, many agents per
 //!   connection, so a million agents fit under a 20k fd limit;
 //! * [`agent`] — the async endpoint agent: version poll, delta catch-
-//!   up, snapshot fallback, backoff/deadline/degrade bookkeeping;
+//!   up, snapshot fallback, backoff/deadline/degrade bookkeeping — and
+//!   [`pull_round`], which pulls a whole fleet through a sync period
+//!   with its queries spread over the period;
 //! * [`http`] — a `GET /metrics` exporter for the megate-obs
 //!   registry.
 
@@ -41,11 +43,10 @@ pub mod exec;
 pub mod frame;
 pub mod http;
 pub mod io;
-pub mod publish;
 pub mod reactor;
 pub mod server;
 
-pub use agent::{Agent, PullReport};
+pub use agent::{pull_round, Agent, FleetPull, PullReport};
 pub use client::NetClient;
 pub use exec::Executor;
 pub use io::{AsyncListener, AsyncStream, Endpoint};

@@ -263,11 +263,11 @@ fn build_response(which: u8, v: u64, bytes: Vec<u8>) -> Response {
     match which {
         0 => Response::HelloOk { version: v as u8 },
         1 => Response::VersionIs {
-            version: (v % 2 == 0).then_some(v),
+            version: v.is_multiple_of(2).then_some(v),
         },
         2 => Response::Record {
             for_op: [op::GET_CHANGELOG, op::GET_DELTA, op::GET_SNAPSHOT][(v % 3) as usize],
-            value: (v % 3 != 0).then_some(bytes),
+            value: (!v.is_multiple_of(3)).then_some(bytes),
         },
         3 => Response::Pong,
         _ => Response::Error {

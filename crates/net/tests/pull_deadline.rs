@@ -2,13 +2,11 @@
 //! whole attempt, fires on time, and is gone afterwards. Alone in its
 //! file (and so in its process): it counts the reactor's timers.
 
-use megate::resilience::PullPolicy;
+use megate::prelude::*;
 use megate_net::agent::Agent;
-use megate_net::publish::SimPublisher;
 use megate_net::reactor::Reactor;
 use megate_net::server::{Server, ServerState, TransportFaults};
 use megate_net::{Endpoint, Executor, NetClient};
-use megate_tedb::TeDatabase;
 use std::time::{Duration, Instant};
 
 const DEADLINE: Duration = Duration::from_millis(200);
@@ -16,7 +14,8 @@ const DEADLINE: Duration = Duration::from_millis(200);
 #[test]
 fn a_stalled_service_cannot_hold_a_pull_past_its_deadline() {
     let exec = Executor::new(2);
-    let state = ServerState::new(TeDatabase::new(4));
+    let db = TeDatabase::new(4);
+    let state = ServerState::new(db.clone());
     let server = Server::start(
         state.clone(),
         &Endpoint::Tcp("127.0.0.1:0".parse().unwrap()),
@@ -24,7 +23,17 @@ fn a_stalled_service_cannot_hold_a_pull_past_its_deadline() {
     )
     .expect("bind");
     let client = NetClient::new(server.local().clone(), 1, exec.clone());
-    let mut publisher = SimPublisher::new(4, 4, 0x5ca1e);
+    let graph = megate_topo::b4();
+    let catalog = EndpointCatalog::generate(&graph, 24, WeibullEndpoints::with_scale(2.0), 5);
+    let traffic = TrafficConfig {
+        endpoint_pairs: 20,
+        site_pairs: 8,
+        ..Default::default()
+    };
+    let mut demands = DemandSet::generate(&graph, &catalog, &traffic);
+    demands.scale_to_load(&graph, 0.5);
+    let tunnels = TunnelTable::for_all_pairs(&graph, 3);
+    let mut controller = Controller::new(graph, tunnels, catalog, db, ControllerConfig::default());
     let policy = PullPolicy {
         deadline_ns: DEADLINE.as_nanos() as u64,
         ..PullPolicy::default()
@@ -32,7 +41,7 @@ fn a_stalled_service_cannot_hold_a_pull_past_its_deadline() {
 
     // A healthy pull finishes long before its deadline and takes its
     // deadline timer with it.
-    publisher.publish_round(state.db(), 1_000_000);
+    controller.run_interval(&demands).expect("interval");
     let c = client.clone();
     let (agent, report) = exec.block_on(async move {
         let mut agent = Agent::new(0, 0, policy);
@@ -52,7 +61,7 @@ fn a_stalled_service_cannot_hold_a_pull_past_its_deadline() {
         stall_chunk_delay: Duration::from_millis(400),
         ..TransportFaults::default()
     });
-    publisher.publish_round(state.db(), 1_000_000);
+    controller.run_interval(&demands).expect("interval");
     let timeouts = megate_obs::counter("net.pull_timeouts");
     let timeouts_before = timeouts.get();
     let c = client.clone();

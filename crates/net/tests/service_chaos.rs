@@ -4,23 +4,20 @@
 //! combined shard outages and transport faults (connection resets,
 //! truncated frames, slow-loris stalls).
 //!
-//! Ground truth comes from [`SimPublisher`]'s `(version, fingerprint)`
-//! history: an agent claiming version `v` for endpoint `e` must hold
-//! exactly the configuration published at the latest change ≤ `v` —
-//! anything else is a silent blackhole / misroute.
+//! A real [`Controller`] on a seeded B4 instance publishes every
+//! period, on freshly reseeded demands. Ground truth is what it
+//! published: an agent claiming version `v` for endpoint `e` must hold
+//! exactly `e`'s entry of `published_paths()` as of `v` — anything else
+//! is a silent blackhole / misroute.
 
-use megate::config::EndpointConfig;
-use megate::resilience::PullPolicy;
-use megate_net::agent::Agent;
-use megate_net::publish::{config_fingerprint, SimPublisher};
+use megate::prelude::*;
+use megate_net::agent::{pull_round, Agent, FleetPull};
 use megate_net::server::{Server, ServerState, TransportFaults};
 use megate_net::{Endpoint, Executor, NetClient};
-use megate_tedb::TeDatabase;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::collections::BTreeMap;
+use std::sync::Arc;
 use std::time::Duration;
 
-const AGENTS: u64 = 32;
 const STALE_TTL: u64 = 2;
 
 /// A compressed sync period so chaos rounds stay test-sized: the
@@ -37,18 +34,35 @@ fn quick_policy() -> PullPolicy {
 }
 
 struct Harness {
+    graph: Graph,
+    catalog: EndpointCatalog,
+    controller: Controller,
+    /// `published_paths()` after each version; index 0 is "nothing
+    /// published yet".
+    history: Vec<BTreeMap<EndpointId, BTreeMap<EndpointId, Vec<u32>>>>,
     exec: Executor,
     state: Arc<ServerState>,
     client: Arc<NetClient>,
-    publisher: SimPublisher,
-    fleet: Vec<Arc<Mutex<Option<Agent>>>>,
+    fleet: Vec<Agent>,
 }
 
 impl Harness {
     fn start() -> Self {
-        let exec = Executor::new(3);
+        let graph = megate_topo::b4();
+        let catalog = EndpointCatalog::generate(&graph, 48, WeibullEndpoints::with_scale(4.0), 3);
         let db = TeDatabase::with_replication(8, 2);
         db.set_fault_seed(0x51ab);
+        let controller = Controller::new(
+            graph.clone(),
+            TunnelTable::for_all_pairs(&graph, 3),
+            catalog.clone(),
+            db.clone(),
+            ControllerConfig {
+                snapshot_every: 4,
+                ..Default::default()
+            },
+        );
+        let exec = Executor::new(3);
         let state = ServerState::new(db);
         let server = Server::start(
             state.clone(),
@@ -57,48 +71,45 @@ impl Harness {
         )
         .expect("bind");
         let client = NetClient::new(server.local().clone(), 4, exec.clone());
-        let fleet = (0..AGENTS)
-            .map(|e| Arc::new(Mutex::new(Some(Agent::new(e, 0, quick_policy())))))
+        let fleet = catalog
+            .ids()
+            .map(|ep| Agent::new(ep.0, 0, quick_policy()))
             .collect();
         Self {
+            graph,
+            catalog,
+            controller,
+            history: vec![BTreeMap::new()],
             exec,
             state,
             client,
-            publisher: SimPublisher::new(AGENTS, 4, 0xc4a05),
             fleet,
         }
     }
 
-    /// One sync period: publish a round, then every agent pulls
-    /// concurrently (one async task each, all multiplexed over the
-    /// pooled client).
-    fn run_period(&mut self, churn_ppm: u32) {
-        self.publisher.publish_round(self.state.db(), churn_ppm);
-        let done = Arc::new(AtomicU64::new(0));
-        for agent in &self.fleet {
-            let agent = agent.clone();
-            let client = self.client.clone();
-            let done = done.clone();
-            self.exec.spawn(async move {
-                let Some(mut a) = agent.lock().unwrap().take() else {
-                    return;
-                };
-                a.sync_period_pull(&client).await;
-                *agent.lock().unwrap() = Some(a);
-                done.fetch_add(1, Ordering::Relaxed);
-            });
-        }
-        while done.load(Ordering::Relaxed) < AGENTS {
-            std::thread::sleep(Duration::from_millis(5));
-        }
+    /// One sync period: an interval on reseeded demands, then every
+    /// agent pulls concurrently over the pooled client.
+    fn run_period(&mut self) -> Vec<FleetPull> {
+        let mut demands = DemandSet::generate(
+            &self.graph,
+            &self.catalog,
+            &TrafficConfig {
+                endpoint_pairs: 40,
+                site_pairs: 12,
+                seed: 0xc4a05 + self.history.len() as u64,
+                ..Default::default()
+            },
+        );
+        demands.scale_to_load(&self.graph, 0.5);
+        self.controller.run_interval(&demands).expect("interval");
+        self.history.push(self.controller.published_paths().clone());
+        let n = self.fleet.len();
+        pull_round(&self.exec, &self.client, &mut self.fleet, Duration::ZERO, n)
     }
 
     /// The invariants every period must uphold, chaos or not.
     fn check_invariants(&self, phase: &str) {
-        let empty_fp = config_fingerprint(&EndpointConfig::default());
-        for slot in &self.fleet {
-            let guard = slot.lock().unwrap();
-            let a = guard.as_ref().expect("agent is home between periods");
+        for a in &self.fleet {
             // Bounded staleness: past the TTL an agent must have
             // stopped steering on its stale paths.
             if a.periods_behind() >= STALE_TTL {
@@ -113,36 +124,31 @@ impl Harness {
             // Zero blackholing: whatever version an agent claims, its
             // installed paths are exactly what was published at that
             // version; degraded agents hold the flushed (ECMP) config.
-            let fp = config_fingerprint(a.config());
-            if a.is_degraded() {
-                assert_eq!(
-                    fp, empty_fp,
-                    "[{phase}] degraded endpoint {} still holds paths",
-                    a.endpoint,
-                );
-            } else {
-                let want = self.publisher.expected_fingerprint(a.endpoint, a.version());
-                assert_eq!(
-                    fp,
-                    want,
-                    "[{phase}] endpoint {} claims v{} but holds a config that \
-                     was never published at that version",
-                    a.endpoint,
-                    a.version(),
-                );
-            }
+            let published = &self.history[a.version() as usize];
+            let want: Vec<_> = published
+                .get(&EndpointId(a.endpoint))
+                .filter(|_| !a.is_degraded())
+                .into_iter()
+                .flatten()
+                .map(|(dst, hops)| (Controller::endpoint_ip(*dst), hops.clone()))
+                .collect();
+            assert_eq!(
+                a.config().paths,
+                want,
+                "[{phase}] endpoint {} (v{}, degraded {}) holds a config \
+                 that was never published for it",
+                a.endpoint,
+                a.version(),
+                a.is_degraded(),
+            );
         }
     }
 
     fn fresh_count(&self) -> usize {
-        let target = self.publisher.version();
+        let target = self.controller.version();
         self.fleet
             .iter()
-            .filter(|s| {
-                let g = s.lock().unwrap();
-                let a = g.as_ref().unwrap();
-                a.version() == target && !a.is_degraded()
-            })
+            .filter(|a| a.version() == target && !a.is_degraded())
             .count()
     }
 }
@@ -153,11 +159,11 @@ fn socket_chaos_preserves_staleness_and_blackholing_invariants() {
 
     // Phase 1 — clean service: everyone converges immediately.
     for round in 1..=2u32 {
-        h.run_period(250_000);
+        h.run_period();
         h.check_invariants("clean");
         assert_eq!(
             h.fresh_count(),
-            AGENTS as usize,
+            h.fleet.len(),
             "round {round}: clean service must converge every agent",
         );
     }
@@ -174,10 +180,17 @@ fn socket_chaos_preserves_staleness_and_blackholing_invariants() {
         stall_chunk_delay: Duration::from_millis(2),
         seed: 0xbad,
     });
+    let mut hit = 0;
     for _ in 0..3 {
-        h.run_period(250_000);
+        let pulls = h.run_period();
+        hit += pulls
+            .iter()
+            .filter(|p| p.report.attempts > 1 || !p.report.refreshed)
+            .count();
         h.check_invariants("chaos");
     }
+    // Faults that silently stopped firing would pass everything else.
+    assert!(hit > 0, "the chaos phase forced no retry and no timeout");
 
     // Phase 3 — heal, then reconverge. An agent that degraded during
     // chaos rebuilds from snapshot; everyone must be fresh within two
@@ -186,12 +199,12 @@ fn socket_chaos_preserves_staleness_and_blackholing_invariants() {
     h.state.db().set_shard_slow(3, 0);
     h.state.set_transport_faults(TransportFaults::default());
     for _ in 0..2 {
-        h.run_period(250_000);
+        h.run_period();
         h.check_invariants("heal");
     }
     assert_eq!(
         h.fresh_count(),
-        AGENTS as usize,
+        h.fleet.len(),
         "fleet must reconverge within two clean periods of the heal",
     );
 

@@ -13,11 +13,10 @@
 //! state and the same staleness clock on both.
 
 use megate::prelude::*;
-use megate_net::agent::Agent;
+use megate_net::agent::{pull_round, Agent};
 use megate_net::server::{Server, ServerState};
 use megate_net::{Endpoint, Executor, NetClient};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Duration;
 
 const STALE_TTL: u64 = 2;
@@ -38,9 +37,9 @@ struct Twin {
     exec: Executor,
     state: Arc<ServerState>,
     client: Arc<NetClient>,
-    fleet: Vec<Arc<Mutex<Option<Agent>>>>,
+    fleet: Vec<Agent>,
     round: u64,
-    via_snapshot: Arc<AtomicU64>,
+    via_snapshot: usize,
 }
 
 impl Twin {
@@ -72,7 +71,7 @@ impl Twin {
         let client = NetClient::new(server.local().clone(), 2, exec.clone());
         let fleet = catalog
             .ids()
-            .map(|ep| Arc::new(Mutex::new(Some(Agent::new(ep.0, 0, policy)))))
+            .map(|ep| Agent::new(ep.0, 0, policy))
             .collect();
         Self {
             graph,
@@ -83,7 +82,7 @@ impl Twin {
             client,
             fleet,
             round: 0,
-            via_snapshot: Arc::default(),
+            via_snapshot: 0,
         }
     }
 
@@ -113,26 +112,12 @@ impl Twin {
         self.publish();
         let round = self.sys.pull_round();
 
-        let done = Arc::new(AtomicU64::new(0));
-        for slot in &self.fleet {
-            let (slot, client) = (slot.clone(), self.client.clone());
-            let (done, via_snapshot) = (done.clone(), self.via_snapshot.clone());
-            self.exec.spawn(async move {
-                let mut agent = slot.lock().unwrap().take().expect("agent is home");
-                let report = agent.sync_period_pull(&client).await;
-                via_snapshot.fetch_add(u64::from(report.via_snapshot), Ordering::Relaxed);
-                *slot.lock().unwrap() = Some(agent);
-                done.fetch_add(1, Ordering::Relaxed);
-            });
-        }
-        while done.load(Ordering::Relaxed) < self.fleet.len() as u64 {
-            std::thread::sleep(Duration::from_millis(2));
-        }
+        let n = self.fleet.len();
+        let pulls = pull_round(&self.exec, &self.client, &mut self.fleet, Duration::ZERO, n);
+        self.via_snapshot += pulls.iter().filter(|p| p.report.via_snapshot).count();
 
         let health = self.sys.host_health();
-        for (idx, slot) in self.fleet.iter().enumerate() {
-            let guard = slot.lock().unwrap();
-            let agent = guard.as_ref().unwrap();
+        for (idx, agent) in self.fleet.iter().enumerate() {
             let ep = self.sys.endpoint_of_host(idx).unwrap();
             assert_eq!(ep.0, agent.endpoint, "fleets are built in catalog order");
             let in_process = AgentView {
@@ -174,7 +159,7 @@ fn in_process_and_socket_pulls_agree_after_every_period() {
     let first = t.period("snapshot catch-up");
     assert!(first.updated > 0 && first.stale == 0);
     assert!(
-        t.via_snapshot.load(Ordering::Relaxed) > 0,
+        t.via_snapshot > 0,
         "a GC'd history must send socket agents through the snapshot fallback"
     );
 
@@ -182,7 +167,7 @@ fn in_process_and_socket_pulls_agree_after_every_period() {
     for _ in 0..2 {
         assert_eq!(t.period("delta").stale, 0);
     }
-    let snapshots_so_far = t.via_snapshot.load(Ordering::Relaxed);
+    let snapshots_so_far = t.via_snapshot;
 
     // Kill the shard that does NOT hold the version record: the fleet
     // keeps seeing versions it cannot fully fetch, and whoever depends
@@ -201,7 +186,7 @@ fn in_process_and_socket_pulls_agree_after_every_period() {
     let healed = t.period("heal");
     assert_eq!((healed.stale, healed.degraded), (0, 0));
     assert!(
-        t.via_snapshot.load(Ordering::Relaxed) > snapshots_so_far,
+        t.via_snapshot > snapshots_so_far,
         "recovery from degradation goes through the snapshot fallback"
     );
     assert_eq!(t.period("steady").stale, 0);

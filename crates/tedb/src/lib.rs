@@ -1,5 +1,5 @@
-//! The TE configuration database and control-loop synchronization
-//! models (§3.2, §6.4).
+//! The TE configuration database and the push-loop resource model
+//! (§3.2, §6.4).
 //!
 //! MegaTE replaces the conventional top-down push over millions of
 //! persistent connections with a **bottom-up pull**: the controller
@@ -11,10 +11,9 @@
 //! consistency instead of synchronized push.
 //!
 //! * [`store`] — the sharded KV store with versioned-config helpers and
-//!   per-shard query accounting;
-//! * [`sync`] — discrete-time simulation of the pull loop (query
-//!   spreading, convergence time, shard overload) — Figure 4(b) and the
-//!   §3.2 "10 seconds" spreading discussion;
+//!   per-shard query accounting (the pull loop itself — query spreading,
+//!   convergence, shard load — is measured over real sockets by
+//!   `megate_net::pull_round` and `fig14_sync_scale`, not modelled);
 //! * [`topdown`] — the calibrated resource model of the conventional
 //!   push loop (persistent connections + heartbeats) behind Figures 13
 //!   and 14;
@@ -29,11 +28,9 @@
 pub mod faults;
 pub mod hybrid;
 pub mod store;
-pub mod sync;
 pub mod topdown;
 
 pub use faults::{FaultEvent, FaultPlan, FaultSpec};
 pub use hybrid::{evaluate_hybrid, heavy_tailed_volumes, HybridConfig, HybridOutcome};
 pub use store::{Changelog, ReadOutcome, ShardOutage, TeDatabase, TeKey, CONFIG_VERSION_KEY};
-pub use sync::{simulate_pull_sync, SyncConfig, SyncMode, SyncOutcome};
 pub use topdown::{BottomUpModel, TopDownModel};

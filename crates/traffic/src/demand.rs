@@ -243,6 +243,18 @@ impl DemandSet {
         self.demands[idx].demand_mbps = mbps;
     }
 
+    /// Interval-to-interval drift: each demand moves with probability
+    /// `churn_ppm`/10⁶, by ×1.25 or ×0.8 (inverse steps, so repeated
+    /// perturbation does not drift the load), the picks seeded by `seed`.
+    pub fn perturb(&mut self, churn_ppm: u32, seed: u64) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        for d in &mut self.demands {
+            if rng.gen_range(0..1_000_000u32) < churn_ppm {
+                d.demand_mbps *= if rng.gen_bool(0.5) { 1.25 } else { 0.8 };
+            }
+        }
+    }
+
     /// Scales every demand by `factor`.
     pub fn scale(&mut self, factor: f64) {
         assert!(factor >= 0.0);

@@ -25,7 +25,7 @@ Figure binary -> output mapping (all JSON lands in results/):
   fig11_latency      results/fig11_latency.json      path-latency distribution
   fig12_failures     results/fig12_failures.json     link-failure recovery
   fig13_connections  results/fig13_connections.json  per-host connection fan-out
-  fig14_sync_scale   results/fig14_sync_scale.json   TE-DB sync traffic vs endpoints
+  fig14_sync_scale   results/fig14_sync_scale.json   top-down model vs measured socket pull fleet (+ fig14_delta_bytes.json, BENCH_fig14.json)
   fig15_app_latency  results/fig15_app_latency.json  application-level latency
   fig16_availability results/fig16_availability.json availability under faults
   fig17_cost         results/fig17_cost.json         provisioning-cost comparison
@@ -35,7 +35,6 @@ Figure binary -> output mapping (all JSON lands in results/):
   fig_incremental    results/fig_incremental.json    warm-started dirty-set solves vs cold (+ BENCH_incremental.json)
   fig_propagation    results/fig_propagation.json    solve-to-install latency per delivery path (+ BENCH_propagation.json)
   fig_partition      results/fig_partition.json      partitioned controllers under chaos vs the single-controller twin (+ BENCH_partition.json)
-  fig_service        results/fig_service.json        agent fan-out over real sockets, PROTOCOL.md wire (+ BENCH_service.json)
   ablations          results/ablations.json          component ablations
   ext_hybrid_sync    results/ext_hybrid_sync.json    §8 hybrid sync extension
   ext_prediction     results/ext_prediction.json     §8 demand-prediction extension
@@ -64,9 +63,11 @@ if [[ "$SCALE" == "--quick" ]]; then
   cargo test -q --test solver_equivalence
   # And for the warm-started incremental engine before its figure.
   cargo test -q --test incremental
-  # Wire-protocol edge cases + PROTOCOL.md fingerprint pin, and the
-  # chaos invariants over real TCP, before the socket figure.
+  # Wire-protocol edge cases + PROTOCOL.md fingerprint pin, the fleet
+  # pull round, and the chaos invariants over real TCP, before the
+  # socket figure.
   cargo test -q -p megate-net --test protocol
+  cargo test -q -p megate-net --test fleet_round
   cargo test -q -p megate-net --test service_chaos
   cargo run -q -p megate-bench --release --bin fig09_runtime -- --scale quick
   cargo run -q -p megate-bench --release --bin fig_resilience -- --scale quick
@@ -75,14 +76,14 @@ if [[ "$SCALE" == "--quick" ]]; then
   cargo run -q -p megate-bench --release --bin fig_incremental -- --scale quick
   cargo run -q -p megate-bench --release --bin fig_propagation -- --scale quick
   cargo run -q -p megate-bench --release --bin fig_partition -- --scale quick
-  cargo run -q -p megate-bench --release --bin fig_service -- --scale quick
+  cargo run -q -p megate-bench --release --bin fig14_sync_scale -- --scale quick
   # Perf drift vs the committed baselines/ — informational only.
   ./scripts/bench_diff || true
   echo "================================================================"
   echo "Smoke run done. JSON in results/ (incl. BENCH_fig09.json,"
   echo "BENCH_resilience.json, BENCH_dataplane.json, BENCH_solver_scale.json,"
   echo "BENCH_incremental.json, BENCH_propagation.json, BENCH_partition.json"
-  echo "and BENCH_service.json metrics)."
+  echo "and BENCH_fig14.json metrics)."
   exit 0
 fi
 
@@ -97,7 +98,7 @@ BINS=(
   fig13_connections fig14_sync_scale
   fig15_app_latency fig16_availability fig17_cost
   fig_resilience fig_dataplane fig_solver_scale fig_incremental
-  fig_propagation fig_partition fig_service
+  fig_propagation fig_partition
   ablations ext_hybrid_sync ext_prediction
 )
 cargo build -p megate-bench --release --bins

@@ -1,11 +1,19 @@
 #!/usr/bin/env bash
 # Repo-wide gate: release build, full test suite, lint-clean clippy.
-# Run before every push; CI mirrors these three steps.
-set -euo pipefail
+# Run before every push; CI mirrors these steps. Every step runs even
+# when an earlier one fails; the red steps are named at the end and
+# the script then exits 1.
+set -uo pipefail
 cd "$(dirname "$0")/.."
 
-cargo fmt --all -- --check
-cargo build --release
+failed=()
+step() {
+    echo ">> $*"
+    "$@" || failed+=("$*")
+}
+
+step cargo fmt --all -- --check
+step cargo build --release
 # The whole workspace, debug build, default features. Among the suites
 # this one run covers:
 # - megate-obs with live metrics (the compiled-out configuration runs
@@ -25,45 +33,50 @@ cargo build --release
 # - megate-net's protocol, service_chaos and transport_equivalence:
 #   wire-protocol edge cases + the PROTOCOL.md codec-fingerprint pin, and
 #   the chaos invariants re-proven over real TCP.
-cargo test -q
+step cargo test -q
 # The observability substrate with the `disabled` feature: record paths
 # must vanish.
-cargo test -q -p megate-obs --features disabled
+step cargo test -q -p megate-obs --features disabled
 # A reduced fig_solver_scale run: 1M-class stage 3 must keep its busy-time
 # scaling gate even at quick scale.
-cargo run -q -p megate-bench --release --bin fig_solver_scale -- --scale quick
+step cargo run -q -p megate-bench --release --bin fig_solver_scale -- --scale quick
 # A reduced fig_incremental run: steady-state warm intervals must keep the
 # >=10x speedup and <=1% satisfied-demand gates even at quick scale.
-cargo run -q -p megate-bench --release --bin fig_incremental -- --scale quick
+step cargo run -q -p megate-bench --release --bin fig_incremental -- --scale quick
 # A reduced fig_propagation run: all three delivery paths must record
 # solve-to-install latencies with p99 inside one 10 s sync period.
-cargo run -q -p megate-bench --release --bin fig_propagation -- --scale quick
+step cargo run -q -p megate-bench --release --bin fig_propagation -- --scale quick
 # A reduced fig_partition run: partitioned controllers under control-plane
 # chaos must keep zero blackholing, no double-booked links and <=2%
 # satisfied-demand loss vs the single-controller twin.
-cargo run -q -p megate-bench --release --bin fig_partition -- --scale quick
+step cargo run -q -p megate-bench --release --bin fig_partition -- --scale quick
 # Both crates of the delivery round again at release speed: the
 # flush-before-fault ordering, the executor's parked-worker count and
 # the timer fired flag are races a debug build is too slow to lose.
-cargo test -q --release -p megate-net
-cargo test -q --release -p megate-hoststack
-# A reduced fig_service run: agent fan-out over real sockets must keep
-# every clean-service pull refreshed with p99 inside one 10 s sync period.
-cargo run -q -p megate-bench --release --bin fig_service -- --scale quick
+step cargo test -q --release -p megate-net
+step cargo test -q --release -p megate-hoststack
+# A reduced fig14_sync_scale run: a real controller's 1k/10k-agent socket
+# fleet must refresh every clean pull, keep p99 over all pulls and spread
+# convergence inside one 10 s sync period, and spread its peak below a burst's.
+step cargo run -q -p megate-bench --release --bin fig14_sync_scale -- --scale quick
 # The standalone benchmark package binds to public API of the crates
 # (e.g. `McfProblem::solve_fptas_with`) from outside the workspace, so
 # only building it shows a broken seam before the driver does. Same
 # target dir as `benchmark/run.sh`.
-CARGO_TARGET_DIR="${CARGO_TARGET_DIR:-$PWD/target/benchmark}" \
+step env CARGO_TARGET_DIR="${CARGO_TARGET_DIR:-$PWD/target/benchmark}" \
     cargo test -q --offline --manifest-path benchmark/Cargo.toml
 # Perf drift report vs the committed baselines — informational, never
 # a gate failure here (timing jitter is machine-dependent); pass
 # `--strict PCT` when a hard perf gate is wanted.
 ./scripts/bench_diff || true
-cargo clippy --workspace -- -D warnings
+step cargo clippy --workspace --all-targets -- -D warnings
 # Rustdoc is part of the deliverable: broken intra-doc links or missing
 # docs in `#![warn(missing_docs)]` crates fail the gate.
-RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
+step env RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 
 echo "================================================================"
+if ((${#failed[@]})); then
+    printf 'check.sh: red step: %s\n' "${failed[@]}"
+    exit 1
+fi
 echo "check.sh: build + tests + clippy all green."

@@ -4,7 +4,7 @@
 
 use megate::prelude::*;
 use megate::Controller;
-use megate_tedb::{simulate_pull_sync, BottomUpModel, SyncConfig, TopDownModel};
+use megate_tedb::{BottomUpModel, TopDownModel};
 
 fn controller_fixture() -> (Controller, DemandSet, TeDatabase) {
     let graph = megate_topo::b4();
@@ -110,27 +110,6 @@ fn stale_agents_catch_up_on_next_poll() {
     assert!(updated > 0);
     assert_eq!(sys.database().latest_version(), Some(3));
     assert_eq!(sys.agents_pull(), 0, "already converged");
-}
-
-#[test]
-fn spreading_keeps_two_shards_within_an_order_of_nominal() {
-    // §3.2: two shards at 160k qps total serve a million endpoints only
-    // because queries are spread over the sync period.
-    let spread = simulate_pull_sync(&SyncConfig {
-        n_endpoints: 1_000_000,
-        spreading: true,
-        ..Default::default()
-    });
-    let burst = simulate_pull_sync(&SyncConfig {
-        n_endpoints: 1_000_000,
-        spreading: false,
-        ..Default::default()
-    });
-    assert!(spread.per_shard_peak_qps <= 100_000.0);
-    assert!(burst.per_shard_peak_qps >= 1_000_000.0);
-    // Spreading cuts the peak by the full spread factor (10x here).
-    assert!(burst.per_shard_peak_qps >= 10.0 * spread.per_shard_peak_qps);
-    assert!(spread.convergence_ms <= 10_000);
 }
 
 #[test]

@@ -26,18 +26,11 @@ fn sorted_frags(kernel: &SimKernel) -> Vec<(u16, FiveTuple)> {
     snap
 }
 
-/// Replay `trace` through both execution models and return the two
-/// sorted `traffic_map` snapshots plus both stat blocks.
-fn replay_both(
-    trace: &Trace,
-    profile: &TrafficProfile,
-    cfg: WorkerConfig,
-) -> (
-    Vec<(FiveTuple, u64)>,
-    Vec<(FiveTuple, u64)>,
-    megate_hoststack::TcStats,
-    megate_hoststack::TcStats,
-) {
+/// One execution model's sorted `traffic_map` snapshot and stat block.
+type Replay = (Vec<(FiveTuple, u64)>, megate_hoststack::TcStats);
+
+/// Replay `trace` through both execution models: (serial, batched).
+fn replay_both(trace: &Trace, profile: &TrafficProfile, cfg: WorkerConfig) -> (Replay, Replay) {
     let serial = SimKernel::new();
     install_profile(&serial, profile);
     let serial_rep = run_single_frame(&serial, trace);
@@ -52,10 +45,8 @@ fn replay_both(
         "frag_map state must be identical between paths"
     );
     (
-        sorted_traffic(&serial),
-        sorted_traffic(&batched),
-        serial_rep.stats,
-        batched_rep.stats,
+        (sorted_traffic(&serial), serial_rep.stats),
+        (sorted_traffic(&batched), batched_rep.stats),
     )
 }
 
@@ -89,7 +80,7 @@ fn batched_accounting_is_bitwise_identical_across_geometries() {
             ring_depth: 8,
         },
     ] {
-        let (serial, batched, serial_stats, batched_stats) = replay_both(&trace, &profile, cfg);
+        let ((serial, serial_stats), (batched, batched_stats)) = replay_both(&trace, &profile, cfg);
         assert_eq!(
             serial, batched,
             "traffic_map diverged at cores={} batch={} sync={}",
@@ -120,7 +111,7 @@ fn batched_path_exercises_every_frame_kind() {
         sync_every: 8,
         ring_depth: 16,
     };
-    let (serial, batched, serial_stats, batched_stats) = replay_both(&trace, &profile, cfg);
+    let ((serial, serial_stats), (batched, batched_stats)) = replay_both(&trace, &profile, cfg);
     assert_eq!(serial, batched);
     assert_eq!(serial_stats, batched_stats);
     assert!(batched_stats.sr_inserted > 0, "SR insertion not exercised");
