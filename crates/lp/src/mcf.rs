@@ -838,6 +838,174 @@ mod tests {
         p
     }
 
+    /// Seeded path-form MCF shaped like the benchmark's site LPs: four
+    /// tunnels per commodity, each over 2–5 links drawn from a pool every
+    /// commodity shares, with capacities tight enough that links bind.
+    fn site_lp_instance(seed: u64, n_comm: usize, n_links: usize) -> McfProblem {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        McfProblem {
+            link_capacity: (0..n_links).map(|_| rng.gen_range(100.0..1500.0)).collect(),
+            commodities: (0..n_comm)
+                .map(|_| Commodity {
+                    demand: rng.gen_range(5.0..120.0),
+                    paths: (0..4)
+                        .map(|t| PathSpec {
+                            links: (0..rng.gen_range(2..=5))
+                                .map(|_| rng.gen_range(0..n_links))
+                                .collect(),
+                            weight: 1.0 + t as f64,
+                        })
+                        .collect(),
+                })
+                .collect(),
+            epsilon_weight: 1e-4,
+        }
+    }
+
+    /// FNV-1a over the bits of a solve's `x`, duals and objective, with
+    /// −0.0 folded into +0.0: skipping an `x − f·(±0)` may flip the sign
+    /// of a zero and nothing else.
+    fn solve_fingerprint(s: &crate::simplex::LpSolution) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for &v in s.x.iter().chain(&s.duals).chain([&s.objective]) {
+            let bits = if v == 0.0 { 0 } else { v.to_bits() };
+            for byte in bits.to_le_bytes() {
+                h ^= u64::from(byte);
+                h = h.wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+        h
+    }
+
+    /// Pins the exact solver's pivot path: pivot counts and the bits of
+    /// `x`, the duals and the objective, cold and re-entered warm after a
+    /// ±10 % demand perturbation, on the LP `solve_exact` builds. Any
+    /// dropped or reordered floating-point operation on a nonzero moves
+    /// a hash. The expected values are those of the dense Gauss–Jordan
+    /// and eta kernels (every column, every row), which the zero-skipping
+    /// kernels must reproduce.
+    #[test]
+    fn exact_pivot_path_is_pinned() {
+        use rand::{Rng, SeedableRng};
+        let mut instances: Vec<McfProblem> = (0..12).map(degenerate_instance).collect();
+        instances.push(site_lp_instance(1, 120, 160));
+        instances.push(site_lp_instance(2, 180, 140));
+        instances.push(site_lp_instance(3, 320, 220));
+        let mut got = Vec::new();
+        for (i, p) in instances.iter().enumerate() {
+            let (lp, _, _) = p.build_lp();
+            let cold = lp.solve_warm(None).unwrap();
+            got.push((
+                lp.rows.len(),
+                cold.solution.pivots,
+                solve_fingerprint(&cold.solution),
+            ));
+            // Every demand moved by up to ±10 % (the restart point tends
+            // to go infeasible and falls back cold), then 2 % of demands
+            // raised by 10 % (the restart mostly holds and re-enters).
+            let mut rng = rand::rngs::StdRng::seed_from_u64(i as u64);
+            for sparse in [false, true] {
+                let mut q = p.clone();
+                for c in &mut q.commodities {
+                    if !sparse {
+                        c.demand *= rng.gen_range(0.9..1.1);
+                    } else if rng.gen_bool(0.02) {
+                        c.demand *= 1.1;
+                    }
+                }
+                let (lp_q, _, _) = q.build_lp();
+                let warm = lp_q.solve_warm(Some(&cold.basis)).unwrap();
+                got.push((
+                    usize::from(warm.warm_used),
+                    warm.solution.pivots,
+                    solve_fingerprint(&warm.solution),
+                ));
+            }
+        }
+        // Per instance: (rows, cold pivots, cold hash), then
+        // (warm re-entered, pivots, hash) for each perturbation.
+        let expected: Vec<(usize, usize, u64)> = vec![
+            (8, 2, 10556470682611104935),
+            (1, 0, 10556470682611104935),
+            (1, 0, 10556470682611104935),
+            (9, 9, 3374520015513950742),
+            (0, 9, 12855929462007698554),
+            (1, 0, 3374520015513950742),
+            (5, 1, 9420825784169481744),
+            (1, 0, 9420825784169481744),
+            (1, 0, 9420825784169481744),
+            (5, 2, 22195168603159482),
+            (1, 0, 2575413859563247656),
+            (1, 0, 22195168603159482),
+            (2, 1, 13365243727194568891),
+            (1, 0, 13365243727194568891),
+            (1, 0, 13365243727194568891),
+            (7, 5, 11615777252503270038),
+            (1, 0, 5992428993624821450),
+            (1, 0, 11615777252503270038),
+            (7, 5, 18194608000679750326),
+            (1, 0, 18194608000679750326),
+            (1, 0, 18194608000679750326),
+            (6, 3, 938432899008760402),
+            (1, 0, 938432899008760402),
+            (1, 0, 938432899008760402),
+            (5, 2, 13295093641133726581),
+            (1, 0, 9397194536202999562),
+            (1, 0, 13295093641133726581),
+            (8, 4, 4156739714718297784),
+            (1, 0, 17235507232721284800),
+            (1, 0, 4156739714718297784),
+            (4, 2, 3109820713009782639),
+            (1, 0, 8311693738076701952),
+            (1, 0, 3109820713009782639),
+            (4, 2, 7420905905356549539),
+            (1, 0, 3130244396859351703),
+            (1, 0, 7420905905356549539),
+            (280, 135, 10804980670259690192),
+            (0, 130, 2231207114386233873),
+            (1, 0, 10423205339984196968),
+            (320, 240, 488843394495387894),
+            (0, 259, 8642283228494835022),
+            (1, 0, 7450721182751227652),
+            (540, 1497, 13307529735210489939),
+            (0, 1411, 7095829835694343867),
+            (0, 1512, 3316923766311181921),
+        ];
+        assert_eq!(got, expected);
+    }
+
+    /// Work-count gate, no wall clock: on a site LP of at least 900 rows
+    /// the Gauss–Jordan eliminations, cold and on a warm restart's
+    /// non-slack basis, perform at most a quarter of the multiply-adds a
+    /// dense elimination spends (`2m` per eliminated row, one per column
+    /// of `[B | B⁻¹]`).
+    #[test]
+    fn refactorization_work_skips_zeros_on_a_site_lp() {
+        let p = site_lp_instance(4, 520, 420);
+        let (lp, _, _) = p.build_lp();
+        let m = lp.rows.len() as u64;
+        assert!(m >= 900, "{m} rows");
+        let (cold, stats) = crate::revised::solve_with_stats(&lp, None).unwrap();
+        let (warm, warm_stats) = crate::revised::solve_with_stats(&lp, Some(&cold.basis)).unwrap();
+        assert!(warm.warm_used);
+        assert_eq!(stats.pivots, cold.solution.pivots as u64);
+        assert_eq!((warm_stats.pivots, warm_stats.refactorizations), (0, 1));
+        assert!(
+            stats.refactorizations >= 2 && stats.eta_madds > 0,
+            "{stats:?}"
+        );
+        for s in [stats, warm_stats] {
+            let dense = s.refactor_rows * 2 * m;
+            assert!(
+                s.refactor_madds * 4 <= dense,
+                "{} of {dense} dense multiply-adds ({:.4}): {s:?}",
+                s.refactor_madds,
+                s.refactor_madds as f64 / dense as f64
+            );
+        }
+    }
+
     fn assert_same_solution(a: &McfSolution, b: &McfSolution) {
         assert_eq!(a.flows, b.flows);
         assert_eq!(a.link_prices, b.link_prices);

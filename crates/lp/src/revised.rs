@@ -20,13 +20,27 @@
 //!   scratch, and recomputed exactly at every refactorization and
 //!   before declaring optimality.
 //!
-//! Memory is `O(nnz(A) + m²)` (twice `m²` while a refactorization's
-//! Gauss–Jordan scratch is live) versus the tableau's `O(m·(n+m))`, and a
-//! pivot costs `O(m² + nnz(A))` versus `O(m·(n+m))` — on path-form MCF
-//! instances where paths vastly outnumber rows, both drop by the
-//! `n/m` ratio. Pricing is Dantzig's rule with the same switch to
-//! Bland's rule as the dense solver to break cycling on degenerate
-//! instances.
+//! Memory is `O(nnz(A) + m²)` (twice `m²` once a refactorization has
+//! allocated its Gauss–Jordan copy of `B`, which the solve then keeps)
+//! versus the tableau's `O(m·(n+m))`.
+//!
+//! Both dense kernels skip exact zeros. A pivot's eta update touches
+//! only the rows where the FTRAN column `w` is nonzero, so a pivot costs
+//! `O(m + nnz(ρ)·nnz(w) + Σ_{ρ_i ≠ 0} nnz(A_i))` multiply-adds and scans
+//! (`ρ` = row `p` of `B⁻¹`) versus the tableau's `O(m·(n+m))`. A
+//! refactorization's step `k` updates only the columns where row `k` of
+//! `[B | B⁻¹]` is nonzero, so it costs `O(m²)` scans plus
+//! `Σ_k |{r : f_r ≠ 0}|·nnz(row k)` multiply-adds versus the dense
+//! `Σ_k |{r : f_r ≠ 0}|·2m` (`f` = column `k` of `B`) — 4–11 % of the
+//! dense count on a 940-row site LP. The invariant that makes this free:
+//! every skipped operation is `x − f·(±0)`, which can change at most the
+//! sign of a zero, and nothing here branches on the sign of a zero (the
+//! tests are `!= 0.0`, `< 0.0`, `> PIVOT_TOL`, `.abs()`) or divides by a
+//! value that can be zero — so the pivot sequence, `x` and the duals are
+//! those of the dense kernels bit for bit, up to the sign of zeros.
+//!
+//! Pricing is Dantzig's rule with the same switch to Bland's rule as the
+//! dense solver to break cycling on degenerate instances.
 
 use crate::simplex::{LinearProgram, LpError, LpSolution, LpStatus};
 
@@ -137,6 +151,26 @@ impl SparseCols {
     }
 }
 
+/// What one exact solve cost, in units that do not depend on the
+/// machine. Crate-private like the FPTAS's `FptasStats`: tests read it
+/// directly so concurrent solves on the process-global registry cannot
+/// disturb them, and no registry metric is fed from it.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct SimplexStats {
+    /// Basis changes (the `lp.pivots` count).
+    pub(crate) pivots: u64,
+    /// Gauss–Jordan rebuilds of `B⁻¹`, a warm restart's included.
+    pub(crate) refactorizations: u64,
+    /// Multiply-adds the Gauss–Jordan eliminations performed.
+    pub(crate) refactor_madds: u64,
+    /// Row eliminations (pivot `k`, row `r` with `f_r ≠ 0`): a dense
+    /// elimination spends `2m` multiply-adds on each, one per column of
+    /// `[B | B⁻¹]`, so `2m ·` this is what skipping zeros saves against.
+    pub(crate) refactor_rows: u64,
+    /// Multiply-adds the eta updates of `B⁻¹` performed.
+    pub(crate) eta_madds: u64,
+}
+
 /// Solver state: basis bookkeeping plus the maintained inverse.
 struct Revised<'a> {
     lp: &'a LinearProgram,
@@ -153,82 +187,94 @@ struct Revised<'a> {
     /// Reduced costs `c_j − y·A_j` for all `n + m` variables.
     d: Vec<f64>,
     b: Vec<f64>,
+    /// Gauss–Jordan's working copy of `B` (column-major like `binv`),
+    /// kept between refactorizations instead of reallocated.
+    bmat: Vec<f64>,
+    /// Scratch for the kernels' nonzero patterns: the rows a
+    /// Gauss–Jordan step eliminates, with their factors; where row `k`
+    /// of `B` and of `B⁻¹` is nonzero; where `w` is nonzero.
+    elim_rows: Vec<(usize, f64)>,
+    nz_b: Vec<usize>,
+    nz_inv: Vec<usize>,
+    nz_w: Vec<usize>,
+    /// Row `p` of `B⁻¹` before a pivot.
+    rho: Vec<f64>,
+    stats: SimplexStats,
 }
 
 impl<'a> Revised<'a> {
+    /// The all-slack start.
     fn new(lp: &'a LinearProgram) -> Self {
         let m = lp.rows.len();
         let n = lp.n_vars();
-        let cols = SparseCols::build(lp);
-        // All-slack start: B = I, so B⁻¹ = I, x_B = b, y = 0, d = c.
-        let mut binv = vec![0.0f64; m * m];
-        for i in 0..m {
-            binv[i * m + i] = 1.0;
-        }
-        let b: Vec<f64> = lp.rows.iter().map(|r| r.rhs).collect();
-        let mut d = vec![0.0f64; n + m];
-        d[..n].copy_from_slice(&lp.objective);
-        let mut in_basis = vec![false; n + m];
-        for flag in in_basis.iter_mut().skip(n) {
-            *flag = true;
-        }
-        Revised {
-            lp,
-            cols,
-            m,
-            n,
-            binv,
-            basis: (n..n + m).collect(),
-            in_basis,
-            xb: b.clone(),
-            d,
-            b,
-        }
-    }
-
-    /// Warm restart: rebuilds the solver state from a retained basis.
-    /// Returns `None` (caller falls back to a cold start) when the
-    /// basis does not fit this instance's shape, is not a valid row
-    /// permutation of variable indices, refactorizes as singular, or
-    /// lands primal-infeasible under the new right-hand side.
-    fn with_basis(lp: &'a LinearProgram, warm: &LpBasis) -> Option<Self> {
-        let m = lp.rows.len();
-        let n = lp.n_vars();
-        if warm.m != m || warm.n != n || warm.basis.len() != m {
-            return None;
-        }
-        let mut in_basis = vec![false; n + m];
-        for &vb in &warm.basis {
-            if vb >= n + m || in_basis[vb] {
-                return None;
-            }
-            in_basis[vb] = true;
-        }
-        let cols = SparseCols::build(lp);
-        let b: Vec<f64> = lp.rows.iter().map(|r| r.rhs).collect();
         let mut st = Revised {
             lp,
-            cols,
+            cols: SparseCols::build(lp),
             m,
             n,
             binv: vec![0.0f64; m * m],
-            basis: warm.basis.clone(),
-            in_basis,
+            basis: vec![0; m],
+            in_basis: vec![false; n + m],
             xb: vec![0.0f64; m],
             d: vec![0.0f64; n + m],
-            b,
+            b: lp.rows.iter().map(|r| r.rhs).collect(),
+            bmat: Vec::new(),
+            elim_rows: Vec::new(),
+            nz_b: Vec::new(),
+            nz_inv: Vec::new(),
+            nz_w: Vec::new(),
+            rho: vec![0.0f64; m],
+            stats: SimplexStats::default(),
         };
+        st.reset_to_slack();
+        st
+    }
+
+    /// All-slack start: B = I, so B⁻¹ = I, x_B = b, y = 0, d = c.
+    fn reset_to_slack(&mut self) {
+        let (m, n) = (self.m, self.n);
+        self.binv.fill(0.0);
+        for i in 0..m {
+            self.binv[i * m + i] = 1.0;
+        }
+        for (i, vb) in self.basis.iter_mut().enumerate() {
+            *vb = n + i;
+        }
+        self.in_basis[..n].fill(false);
+        self.in_basis[n..].fill(true);
+        self.xb.copy_from_slice(&self.b);
+        self.d[..n].copy_from_slice(&self.lp.objective);
+        self.d[n..].fill(0.0);
+    }
+
+    /// Warm restart: rebuilds the solver state from a retained basis.
+    /// Returns false, with the all-slack start restored, when the basis
+    /// does not fit this instance's shape, is not a valid row
+    /// permutation of variable indices, refactorizes as singular, or
+    /// lands primal-infeasible under the new right-hand side.
+    fn load_basis(&mut self, warm: &LpBasis) -> bool {
+        let (m, n) = (self.m, self.n);
+        if warm.m != m || warm.n != n || warm.basis.len() != m {
+            return false;
+        }
+        self.in_basis.fill(false);
+        for &vb in &warm.basis {
+            if vb >= n + m || self.in_basis[vb] {
+                self.reset_to_slack();
+                return false;
+            }
+            self.in_basis[vb] = true;
+        }
+        self.basis.copy_from_slice(&warm.basis);
         // Refactorization rebuilds B⁻¹, x_B and exact reduced costs; a
         // singular retained basis is the designated fallback trigger.
-        if st.refactorize().is_err() {
-            return None;
+        // The retained basis may also be primal-infeasible for the new
+        // b (dual simplex would repair it; we fall back to cold instead).
+        if self.refactorize().is_err() || self.xb.iter().any(|&x| x < 0.0) {
+            self.reset_to_slack();
+            return false;
         }
-        // The retained basis may be primal-infeasible for the new b
-        // (dual simplex would repair it; we fall back to cold instead).
-        if st.xb.iter().any(|&x| x < 0.0) {
-            return None;
-        }
-        Some(st)
+        true
     }
 
     /// `w = B⁻¹ A_j` (FTRAN) — accumulates scaled columns of `B⁻¹`.
@@ -279,10 +325,20 @@ impl<'a> Revised<'a> {
     /// Rebuilds `B⁻¹` from the basis columns by Gauss–Jordan with
     /// partial pivoting, then restores `x_B = B⁻¹ b` and the exact
     /// reduced costs. Bounds the drift of the product-form updates.
+    ///
+    /// Pivot `k` subtracts `f_r ·` row `k` of `[B | B⁻¹]` from each row
+    /// `r` with `f_r ≠ 0`, but only in the columns where row `k` is
+    /// nonzero: every skipped operation is `x − f·(±0)`, which can change
+    /// at most the sign of a zero, and each element takes one update per
+    /// `k`, so walking columns outer (contiguous) and rows inner gives
+    /// the dense elimination's bits.
     fn refactorize(&mut self) -> Result<(), LpError> {
         let m = self.m;
+        self.stats.refactorizations += 1;
         // Dense working copy of B, column-major like binv.
-        let mut bmat = vec![0.0f64; m * m];
+        let bmat = &mut self.bmat;
+        bmat.clear();
+        bmat.resize(m * m, 0.0);
         for (pos, &vb) in self.basis.iter().enumerate() {
             if vb < self.n {
                 for (i, a) in self.cols.col(vb) {
@@ -308,8 +364,7 @@ impl<'a> Revised<'a> {
                 }
             }
             if pval < PIVOT_TOL * PIVOT_TOL {
-                // Numerically singular basis — treat as irrecoverable.
-                return Err(LpError::IterationLimit);
+                return Err(LpError::SingularBasis);
             }
             if prow != k {
                 for c in 0..m {
@@ -317,23 +372,31 @@ impl<'a> Revised<'a> {
                     inv.swap(c * m + k, c * m + prow);
                 }
             }
+            // Scale row k and note where it is nonzero.
             let piv = bmat[k * m + k];
+            self.nz_b.clear();
+            self.nz_inv.clear();
             for c in 0..m {
-                bmat[c * m + k] /= piv;
-                inv[c * m + k] /= piv;
-            }
-            for r in 0..m {
-                if r == k {
-                    continue;
+                if bmat[c * m + k] != 0.0 {
+                    bmat[c * m + k] /= piv;
+                    self.nz_b.push(c);
                 }
-                let f = bmat[k * m + r];
-                if f != 0.0 {
-                    for c in 0..m {
-                        bmat[c * m + r] -= f * bmat[c * m + k];
-                        inv[c * m + r] -= f * inv[c * m + k];
-                    }
+                if inv[c * m + k] != 0.0 {
+                    inv[c * m + k] /= piv;
+                    self.nz_inv.push(c);
                 }
             }
+            self.elim_rows.clear();
+            self.elim_rows.extend(
+                bmat[k * m..(k + 1) * m]
+                    .iter()
+                    .enumerate()
+                    .filter(|&(r, &f)| r != k && f != 0.0)
+                    .map(|(r, &f)| (r, f)),
+            );
+            self.stats.refactor_rows += self.elim_rows.len() as u64;
+            self.stats.refactor_madds += eliminate(bmat, m, k, &self.nz_b, &self.elim_rows)
+                + eliminate(inv, m, k, &self.nz_inv, &self.elim_rows);
         }
         // x_B = B⁻¹ b.
         self.xb.fill(0.0);
@@ -356,7 +419,7 @@ impl<'a> Revised<'a> {
 
     /// Product-form (eta) update after pivoting variable `enter` into
     /// row `p` with FTRAN column `w`: updates `B⁻¹`, `x_B`, and the
-    /// reduced costs in `O(m² + nnz(A))`.
+    /// reduced costs in `O(m + nnz(ρ)·nnz(w) + Σ_{ρ_i ≠ 0} nnz(A_i))`.
     fn pivot(&mut self, enter: usize, p: usize, w: &[f64]) {
         let m = self.m;
         let wp = w[p];
@@ -375,8 +438,7 @@ impl<'a> Revised<'a> {
         // old inverse is rho; new row p is rho / wp, and
         // d'_j = d_j − (d_enter / wp) · (rho · A_j).
         let theta = self.d[enter] / wp;
-        let mut rho = vec![0.0f64; m];
-        for (c, rc) in rho.iter_mut().enumerate() {
+        for (c, rc) in self.rho.iter_mut().enumerate() {
             *rc = self.binv[c * m + p];
         }
         if theta != 0.0 {
@@ -384,7 +446,7 @@ impl<'a> Revised<'a> {
             // gathering column-wise over all of A: rho is row p of
             // B⁻¹ and stays sparse for most of the solve, and the row
             // entries walk contiguous memory.
-            for (i, &ri) in rho.iter().enumerate() {
+            for (i, &ri) in self.rho.iter().enumerate() {
                 if ri != 0.0 {
                     let tri = theta * ri;
                     for &(j, a) in &self.lp.rows[i].entries {
@@ -400,21 +462,25 @@ impl<'a> Revised<'a> {
             }
         }
         // Eta update of B⁻¹: new_col_c[p] = rho[c]/wp, and
-        // new_col_c[r] -= w[r] * new_col_c[p] for r != p.
-        for (c, rc) in rho.iter().enumerate().take(m) {
+        // new_col_c[r] -= w[r] * new_col_c[p] for r != p — only over
+        // the rows where w is nonzero (the rest would subtract ±0).
+        self.nz_w.clear();
+        self.nz_w.extend((0..m).filter(|&r| r != p && w[r] != 0.0));
+        let mut madds = 0u64;
+        for (c, rc) in self.rho.iter().enumerate() {
             let t = rc / wp;
+            let col = &mut self.binv[c * m..(c + 1) * m];
             if t != 0.0 {
-                let col = &mut self.binv[c * m..(c + 1) * m];
-                for (r, cr) in col.iter_mut().enumerate() {
-                    if r != p {
-                        *cr -= w[r] * t;
-                    }
+                for &r in &self.nz_w {
+                    col[r] -= w[r] * t;
+                    madds += 1;
                 }
                 col[p] = t;
             } else {
-                self.binv[c * m + p] = 0.0;
+                col[p] = 0.0;
             }
         }
+        self.stats.eta_madds += madds;
         // Basis bookkeeping; the leaving variable's reduced cost comes
         // out of the same update formula with alpha = 1.
         let leave = self.basis[p];
@@ -458,6 +524,22 @@ impl<'a> Revised<'a> {
     }
 }
 
+/// Subtracts `f ·` row `k` from row `r` of column-major `mat`, for every
+/// `(r, f)` of `rows` and every column in `cols`; returns the
+/// multiply-adds performed.
+fn eliminate(mat: &mut [f64], m: usize, k: usize, cols: &[usize], rows: &[(usize, f64)]) -> u64 {
+    let mut madds = 0u64;
+    for &c in cols {
+        let col = &mut mat[c * m..(c + 1) * m];
+        let v = col[k];
+        for &(r, f) in rows {
+            col[r] -= f * v;
+            madds += 1;
+        }
+    }
+    madds
+}
+
 /// Solves with the sparse revised simplex. Same contract as the dense
 /// [`crate::simplex::LinearProgram::solve_dense`]: `Optimal` with
 /// primal/dual values, `Unbounded`, or an [`LpError`].
@@ -479,10 +561,19 @@ pub fn solve_revised_warm(
     lp: &LinearProgram,
     warm: Option<&LpBasis>,
 ) -> Result<WarmLpSolve, LpError> {
+    solve_with_stats(lp, warm).map(|(w, _)| w)
+}
+
+/// [`solve_revised_warm`] plus what the solve cost, its failed warm
+/// attempt included.
+pub(crate) fn solve_with_stats(
+    lp: &LinearProgram,
+    warm: Option<&LpBasis>,
+) -> Result<(WarmLpSolve, SimplexStats), LpError> {
     let m = lp.rows.len();
     let n = lp.n_vars();
     if n == 0 {
-        return Ok(WarmLpSolve {
+        let solve = WarmLpSolve {
             solution: LpSolution {
                 status: LpStatus::Optimal,
                 x: vec![],
@@ -496,18 +587,15 @@ pub fn solve_revised_warm(
                 n,
             },
             warm_used: false,
-        });
+        };
+        return Ok((solve, SimplexStats::default()));
     }
     let _span = megate_obs::span("lp.solve");
-    let mut warm_used = false;
-    let mut st = match warm.and_then(|wb| Revised::with_basis(lp, wb)) {
-        Some(st) => {
-            warm_used = true;
-            megate_obs::counter("lp.warm_starts").inc();
-            st
-        }
-        None => Revised::new(lp),
-    };
+    let mut st = Revised::new(lp);
+    let mut warm_used = warm.is_some_and(|wb| st.load_basis(wb));
+    if warm_used {
+        megate_obs::counter("lp.warm_starts").inc();
+    }
     // A warm restart just refactorized, so its prices are exact.
     let solution = match run_simplex(&mut st, warm_used) {
         Ok(s) => s,
@@ -516,21 +604,21 @@ pub fn solve_revised_warm(
             // reporting failure, so a stale basis can never make a
             // previously solvable instance unsolvable.
             warm_used = false;
-            st = Revised::new(lp);
+            st.reset_to_slack();
             run_simplex(&mut st, false)?
         }
         Err(e) => return Err(e),
     };
-    let basis = LpBasis {
-        basis: st.basis.clone(),
-        m,
-        n,
-    };
-    Ok(WarmLpSolve {
+    let solve = WarmLpSolve {
         solution,
-        basis,
+        basis: LpBasis {
+            basis: st.basis.clone(),
+            m,
+            n,
+        },
         warm_used,
-    })
+    };
+    Ok((solve, st.stats))
 }
 
 /// The shared phase-2 pivot loop. `start_verified` marks the entry
@@ -628,6 +716,7 @@ fn run_simplex(st: &mut Revised, start_verified: bool) -> Result<LpSolution, LpE
 
         st.pivot(enter, p, &w);
         pivots += 1;
+        st.stats.pivots += 1;
         pivot_ctr.inc();
         verified = false;
         if pivots >= limit {
@@ -824,6 +913,33 @@ mod tests {
                 prev = warm;
             }
         }
+    }
+
+    #[test]
+    fn basis_with_two_identical_columns_is_singular() {
+        // Variables 0 and 1 share one column, so a basis holding both
+        // has no pivot for its second position.
+        let mut lp = LinearProgram::maximize(vec![1.0, 2.0]);
+        lp.add_le(vec![(0, 1.0), (1, 1.0)], 4.0);
+        lp.add_le(vec![(0, 2.0), (1, 2.0)], 6.0);
+        let singular = LpBasis {
+            basis: vec![0, 1],
+            m: 2,
+            n: 2,
+        };
+        let mut st = Revised::new(&lp);
+        st.basis.copy_from_slice(&singular.basis);
+        assert_eq!(st.refactorize(), Err(LpError::SingularBasis));
+        assert_eq!(
+            LpError::SingularBasis.to_string(),
+            "simplex basis is numerically singular"
+        );
+        // Handed in as a warm basis, it falls back to the cold start.
+        let warm = solve_revised_warm(&lp, Some(&singular)).unwrap();
+        assert!(!warm.warm_used);
+        let cold = solve_revised(&lp).unwrap();
+        assert_eq!(warm.solution.objective.to_bits(), cold.objective.to_bits());
+        assert_eq!(warm.solution.pivots, cold.pivots);
     }
 
     #[test]

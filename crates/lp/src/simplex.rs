@@ -80,10 +80,10 @@ impl LinearProgram {
 
     /// Estimated working-set size of the revised solver in f64
     /// entries: the dense `m × m` basis inverse, the equally sized
-    /// Gauss–Jordan scratch matrix live during refactorization, and
-    /// the sparse constraint columns — `2m² + nnz`. Callers use this
-    /// to decide exact-vs-FPTAS, and [`solve`](Self::solve) enforces
-    /// [`TABLEAU_ENTRY_CAP`] on it.
+    /// Gauss–Jordan scratch matrix kept from the first refactorization
+    /// on, and the sparse constraint columns — `2m² + nnz`. Callers use
+    /// this to decide exact-vs-FPTAS, and [`solve`](Self::solve)
+    /// enforces [`TABLEAU_ENTRY_CAP`] on it.
     pub fn revised_entries(&self) -> usize {
         let m = self.rows.len();
         let nnz: usize = self.rows.iter().map(|r| r.entries.len()).sum();
@@ -188,6 +188,9 @@ pub enum LpError {
     },
     /// Pivot limit exceeded (numerical trouble).
     IterationLimit,
+    /// A refactorization met a basis with no usable pivot: its columns
+    /// are (numerically) linearly dependent.
+    SingularBasis,
 }
 
 impl std::fmt::Display for LpError {
@@ -200,6 +203,7 @@ impl std::fmt::Display for LpError {
                 )
             }
             LpError::IterationLimit => write!(f, "simplex iteration limit exceeded"),
+            LpError::SingularBasis => write!(f, "simplex basis is numerically singular"),
         }
     }
 }
