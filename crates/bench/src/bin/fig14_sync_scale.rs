@@ -14,8 +14,11 @@
 //! fleet size (1k/10k agents under `--scale quick`, 10k/100k/1M under
 //! `--scale full`) it reports:
 //!
-//! * peak server QPS (all shards) and per-shard peak bytes/s over
+//! * peak shard QPS (all shards) and per-shard peak bytes/s over
 //!   `period/10` windows, spread vs burst;
+//! * wire requests per agent in the spread round, counted by the
+//!   server — a quiet agent sends one `POLL` and the server makes two
+//!   shard reads for it, so this is not the shard queries per agent;
 //! * convergence, from publish until the last agent holds the new
 //!   version;
 //! * DB shards needed, ⌈spread peak QPS ÷ `SHARD_QPS_CAPACITY`⌉;
@@ -23,7 +26,11 @@
 //!
 //! The second panel reports published and pulled bytes of each
 //! interval — the cold one that configures everyone, then perturbed
-//! ones at the churn the controller measured — against the cold one.
+//! ones at the churn the controller measured — against the cold one,
+//! with each round's wire requests and shard reads per agent. Every
+//! round after the cold one asserts that its requests are one per agent
+//! plus one per delta an agent had to read: a quiet agent costs one
+//! request.
 
 use megate::prelude::*;
 use megate_bench::{print_table, scale_from_args, write_json, Scale};
@@ -59,6 +66,7 @@ struct ScaleRow {
     bottomup_core_share: f64,
     spread_peak_qps: f64,
     burst_peak_qps: f64,
+    spread_requests_per_agent: f64,
     spread_shard_peak_bytes_per_s: f64,
     burst_shard_peak_bytes_per_s: f64,
     db_shards: u64,
@@ -74,6 +82,8 @@ struct IntervalRow {
     measured_churn: f64,
     published_bytes: u64,
     pulled_bytes: u64,
+    requests_per_agent: f64,
+    shard_reads_per_agent: f64,
 }
 
 /// What the shards served during one round, over `period/10` windows.
@@ -81,6 +91,7 @@ struct Load {
     peak_qps: f64,
     shard_peak_bytes_per_s: f64,
     bytes: u64,
+    queries: u64,
 }
 
 /// Runs `round` while sampling the shards' query and byte counters
@@ -108,6 +119,7 @@ fn measured<T>(db: &TeDatabase, round: impl FnOnce() -> T) -> (T, Load) {
         peak_qps: 0.0,
         shard_peak_bytes_per_s: 0.0,
         bytes: samples.last().unwrap().1.iter().sum(),
+        queries: samples.last().unwrap().0.iter().sum(),
     };
     for w in samples.windows(2) {
         let queries: u64 = w[1].0.iter().zip(&w[0].0).map(|(b, a)| b - a).sum();
@@ -117,6 +129,25 @@ fn measured<T>(db: &TeDatabase, round: impl FnOnce() -> T) -> (T, Load) {
         }
     }
     (out, load)
+}
+
+/// The reads beyond its poll that each agent's pull toward `target`
+/// needs: one delta per change its endpoint's changelog logs in
+/// (installed, target].
+fn delta_reads(db: &TeDatabase, fleet: &[Agent], target: u64) -> usize {
+    fleet
+        .iter()
+        .map(|a| {
+            db.fetch(&TeKey::Changelog {
+                endpoint: a.endpoint,
+            })
+            .and_then(|raw| Changelog::decode(&raw))
+            .map_or(0, |log| {
+                let pending = |v: &&u64| **v > a.version() && **v <= target;
+                log.versions.iter().filter(pending).count()
+            })
+        })
+        .sum()
 }
 
 /// One fleet size: the figure's row and one row per interval.
@@ -160,17 +191,29 @@ fn run_size(n: usize) -> (ScaleRow, Vec<IntervalRow>) {
 
     let (mut interval, mut latencies, mut rows) = (Duration::ZERO, Vec::new(), Vec::new());
     let (mut spread_load, mut burst_load, mut convergence) = (None, None, Duration::ZERO);
+    let mut spread_requests = 0;
     for (step, &(ppm, spreading)) in STEPS.iter().enumerate() {
         demands.perturb(ppm, step as u64);
         let report = controller.run_interval(&demands).expect("interval");
         interval = interval.max(report.total_time);
         let s = if spreading { spread } else { Duration::ZERO };
+        let deltas = delta_reads(&db, &fleet, report.version);
+        let requests_before = state.requests();
         let (pulls, load) = measured(&db, || pull_round(&exec, &client, &mut fleet, s, RUNNERS));
+        let requests = (state.requests() - requests_before) as usize;
         let stale = pulls.iter().filter(|p| !p.report.refreshed).count();
         assert_eq!(
             stale, 0,
             "{n} agents: {stale} pulls failed on a fault-free service"
         );
+        if step > 0 {
+            assert!(pulls.iter().all(|p| !p.report.via_snapshot));
+            assert_eq!(
+                requests,
+                n + deltas,
+                "{n} agents, {deltas} delta reads: a quiet agent must cost one request"
+            );
+        }
         latencies.extend(pulls.iter().map(|p| p.latency));
         rows.push(IntervalRow {
             endpoints: n,
@@ -179,8 +222,11 @@ fn run_size(n: usize) -> (ScaleRow, Vec<IntervalRow>) {
             measured_churn: report.changed_endpoints as f64 / report.configured_endpoints as f64,
             published_bytes: report.published_bytes,
             pulled_bytes: load.bytes,
+            requests_per_agent: requests as f64 / n as f64,
+            shard_reads_per_agent: load.queries as f64 / n as f64,
         });
         if spreading {
+            spread_requests = requests;
             convergence = pulls.iter().map(|p| p.done_at).max().unwrap_or_default();
             spread_load = Some(load);
         } else if step > 0 {
@@ -203,6 +249,7 @@ fn run_size(n: usize) -> (ScaleRow, Vec<IntervalRow>) {
         bottomup_core_share: interval.as_secs_f64() / PERIOD.as_secs_f64(),
         spread_peak_qps: spread_load.peak_qps,
         burst_peak_qps: burst_load.peak_qps,
+        spread_requests_per_agent: spread_requests as f64 / n as f64,
         spread_shard_peak_bytes_per_s: spread_load.shard_peak_bytes_per_s,
         burst_shard_peak_bytes_per_s: burst_load.shard_peak_bytes_per_s,
         db_shards: (spread_load.peak_qps / SHARD_QPS_CAPACITY as f64)
@@ -256,6 +303,7 @@ fn main() {
                 format!("{:.0}", r.spread_peak_qps),
                 format!("{:.0}", r.burst_peak_qps),
                 format!("{:.1}x", r.burst_peak_qps / r.spread_peak_qps),
+                format!("{:.3}", r.spread_requests_per_agent),
                 r.db_shards.to_string(),
                 format!("{:.2}", r.spread_shard_peak_bytes_per_s / 1e6),
                 format!("{:.2}", r.burst_shard_peak_bytes_per_s / 1e6),
@@ -275,6 +323,7 @@ fn main() {
             "spread peak qps",
             "burst peak qps",
             "burst/spread",
+            "req/agent",
             "DB shards",
             "spread shard MB/s",
             "burst shard MB/s",
@@ -307,6 +356,8 @@ fn main() {
                     cold.published_bytes as f64 / r.published_bytes as f64
                 ),
                 format!("{:.1}x", cold.pulled_bytes as f64 / r.pulled_bytes as f64),
+                format!("{:.3}", r.requests_per_agent),
+                format!("{:.3}", r.shard_reads_per_agent),
             ]);
             if r.measured_churn < 0.10 {
                 assert!(
@@ -334,6 +385,8 @@ fn main() {
             "pull KB",
             "pub cut",
             "pull cut",
+            "req/agent",
+            "reads/agent",
         ],
         &byte_rows,
     );

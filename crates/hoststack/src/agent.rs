@@ -132,15 +132,16 @@ impl EndpointAgent {
 
     /// Installs a new TE configuration: replaces the paths of every
     /// instance mentioned and bumps the local version. Returns how many
-    /// entries were written (map-full failures are skipped and counted
-    /// out of the return value).
+    /// entries now hold their path, including those that already did
+    /// and so were not rewritten (map-full failures are skipped and
+    /// counted out of the return value).
     pub fn install_config(&mut self, version: u64, paths: &[PathInstall]) -> usize {
         let mut written = 0;
         for p in paths {
             if self
                 .maps
                 .path_map
-                .update((p.instance, p.dst_ip), p.hops.clone())
+                .update_from((p.instance, p.dst_ip), &p.hops)
                 .is_ok()
             {
                 written += 1;
@@ -162,7 +163,10 @@ impl EndpointAgent {
     /// mention is withdrawn, then the snapshot's paths are written —
     /// leaving `path_map` exactly as if the instance had been
     /// configured from scratch. Entries of other instances are
-    /// untouched. Returns how many entries were written.
+    /// untouched, and so are the instance's entries that already hold
+    /// their path: re-installing an unchanged snapshot writes nothing.
+    /// Returns how many entries now hold their path, as
+    /// [`install_config`](Self::install_config) does.
     pub fn install_snapshot(
         &mut self,
         version: u64,

@@ -38,6 +38,6 @@ pub mod ringbuf;
 pub use agent::{EndpointAgent, FlowRecord, PathInstall, PathMapEntry};
 pub use batch::{BatchSummary, CpuShard};
 pub use kernel::{InstanceId, KernelEvent, Pid, SimKernel, TcStats, TcVerdict};
-pub use maps::{EbpfMap, MapError, MapKind, PathKey, PathMap};
+pub use maps::{EbpfMap, MapError, MapKind, PathKey, PathMap, PathMapWrites};
 pub use programs::HostMaps;
 pub use ringbuf::{RingBuffer, TelemetryEvent};

@@ -10,6 +10,7 @@
 
 use crate::kernel::InstanceId;
 use parking_lot::RwLock;
+use std::borrow::Cow;
 use std::collections::{BTreeSet, HashMap};
 use std::hash::Hash;
 use std::sync::Arc;
@@ -132,8 +133,13 @@ impl<K: Eq + Hash + Clone, V: Clone> EbpfMap<K, V> {
     }
 
     /// Point lookup (clones the value, like `bpf_map_lookup_elem` copies
-    /// out). Refreshes LRU recency.
+    /// out). Refreshes LRU recency. Only LRU eviction reads recency, so
+    /// a plain hash map answers under the read lock and concurrent
+    /// lookups do not exclude each other.
     pub fn lookup(&self, key: &K) -> Option<V> {
+        if self.kind == MapKind::Hash {
+            return self.inner.read().data.get(key).map(|(v, _)| v.clone());
+        }
         let mut g = self.inner.write();
         g.tick += 1;
         let tick = g.tick;
@@ -141,6 +147,19 @@ impl<K: Eq + Hash + Clone, V: Clone> EbpfMap<K, V> {
             *t = tick;
             v.clone()
         })
+    }
+
+    /// Whether `key` holds a value equal to `value`, under the read lock
+    /// and without copying the value out. Refreshes no LRU recency.
+    pub(crate) fn holds<Q: ?Sized>(&self, key: &K, value: &Q) -> bool
+    where
+        V: PartialEq<Q>,
+    {
+        self.inner
+            .read()
+            .data
+            .get(key)
+            .is_some_and(|(v, _)| v == value)
     }
 
     /// Insert-or-overwrite (`BPF_ANY`). A full plain-hash map rejects
@@ -280,10 +299,31 @@ pub type PathKey = (InstanceId, [u8; 4]);
 /// index lock first and holds it across the table write, so writers are
 /// serialized and the index equals the table's key set whenever no
 /// write is in flight. Clones share both.
+///
+/// A write of the hops an entry already holds is skipped: the table is
+/// a plain hash, whose recency tick nothing reads, so the skip cannot
+/// be observed except in [`writes`](Self::writes).
 #[derive(Debug, Clone)]
 pub struct PathMap {
     table: EbpfMap<PathKey, Vec<u32>>,
-    keys: Arc<parking_lot::Mutex<BTreeSet<PathKey>>>,
+    index: Arc<parking_lot::Mutex<KeyIndex>>,
+}
+
+/// The key index and the table's write counts, behind one lock.
+#[derive(Debug, Default)]
+struct KeyIndex {
+    keys: BTreeSet<PathKey>,
+    writes: PathMapWrites,
+}
+
+/// Table entries a [`PathMap`] has written and deleted since it was
+/// made: the work its writers did, not the calls they made.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PathMapWrites {
+    /// Entries inserted, or overwritten with different hops.
+    pub updated: u64,
+    /// Entries deleted.
+    pub deleted: u64,
 }
 
 impl PathMap {
@@ -291,8 +331,13 @@ impl PathMap {
     pub fn new(name: &'static str, max_entries: usize) -> Self {
         Self {
             table: EbpfMap::new(name, max_entries),
-            keys: Arc::default(),
+            index: Arc::default(),
         }
+    }
+
+    /// Entries written and deleted so far.
+    pub fn writes(&self) -> PathMapWrites {
+        self.index.lock().writes
     }
 
     /// Current entry count.
@@ -311,19 +356,36 @@ impl PathMap {
     }
 
     /// Insert-or-overwrite; a full map rejects a new key with
-    /// [`MapError::Full`] and changes nothing.
+    /// [`MapError::Full`] and changes nothing. An entry that already
+    /// holds `hops` is left as it is.
     pub fn update(&self, key: PathKey, hops: Vec<u32>) -> Result<(), MapError> {
-        let mut keys = self.keys.lock();
-        self.table.update(key, hops)?;
-        keys.insert(key);
+        self.write(key, Cow::Owned(hops))
+    }
+
+    /// [`update`](Self::update) from borrowed hops, copied only when the
+    /// entry changes.
+    pub(crate) fn update_from(&self, key: PathKey, hops: &[u32]) -> Result<(), MapError> {
+        self.write(key, Cow::Borrowed(hops))
+    }
+
+    fn write(&self, key: PathKey, hops: Cow<'_, [u32]>) -> Result<(), MapError> {
+        let mut index = self.index.lock();
+        if self.table.holds(&key, &*hops) {
+            return Ok(());
+        }
+        self.table.update(key, hops.into_owned())?;
+        index.keys.insert(key);
+        index.writes.updated += 1;
         Ok(())
     }
 
     /// Deletes an entry.
     pub fn delete(&self, key: &PathKey) -> Result<Vec<u32>, MapError> {
-        let mut keys = self.keys.lock();
-        keys.remove(key);
-        self.table.delete(key)
+        let mut index = self.index.lock();
+        index.keys.remove(key);
+        let removed = self.table.delete(key);
+        index.writes.deleted += u64::from(removed.is_ok());
+        removed
     }
 
     /// Deletes the entries of `instance` whose destination `keep`
@@ -334,16 +396,18 @@ impl PathMap {
         instance: InstanceId,
         mut keep: impl FnMut(&[u8; 4]) -> bool,
     ) -> usize {
-        let mut keys = self.keys.lock();
-        let stale: Vec<PathKey> = keys
+        let mut index = self.index.lock();
+        let stale: Vec<PathKey> = index
+            .keys
             .range((instance, [0; 4])..=(instance, [u8::MAX; 4]))
             .filter(|(_, dst)| !keep(dst))
             .copied()
             .collect();
         for key in &stale {
-            keys.remove(key);
+            index.keys.remove(key);
             let _ = self.table.delete(key);
         }
+        index.writes.deleted += stale.len() as u64;
         stale.len()
     }
 
@@ -354,14 +418,16 @@ impl PathMap {
 
     /// The key index, ascending.
     pub fn keys(&self) -> Vec<PathKey> {
-        self.keys.lock().iter().copied().collect()
+        self.index.lock().keys.iter().copied().collect()
     }
 
     /// Removes and returns all entries.
     pub fn drain(&self) -> Vec<(PathKey, Vec<u32>)> {
-        let mut keys = self.keys.lock();
-        keys.clear();
-        self.table.drain()
+        let mut index = self.index.lock();
+        index.keys.clear();
+        let drained = self.table.drain();
+        index.writes.deleted += drained.len() as u64;
+        drained
     }
 }
 
@@ -458,6 +524,21 @@ mod tests {
         assert_eq!(m.lookup(&1), None);
         assert_eq!(m.lookup(&3), Some(1));
         assert_eq!(m.kind(), MapKind::LruHash);
+    }
+
+    #[test]
+    fn plain_hash_lookups_share_the_read_lock() {
+        let m: EbpfMap<u8, u8> = EbpfMap::new("shared_read", 4);
+        m.update(1, 1).unwrap();
+        // Another reader holds the lock: a lookup must not wait for it.
+        let held = m.inner.read();
+        let (tx, rx) = std::sync::mpsc::channel();
+        let reader = m.clone();
+        let t = std::thread::spawn(move || tx.send(reader.lookup(&1)).unwrap());
+        let got = rx.recv_timeout(std::time::Duration::from_secs(10));
+        drop(held);
+        t.join().unwrap();
+        assert_eq!(got, Ok(Some(1)), "the lookup waited for a reader");
     }
 
     #[test]

@@ -4,7 +4,8 @@
 //! one-instance install on a host full of other instances' paths.
 
 use megate_hoststack::{
-    EndpointAgent, HostMaps, InstanceId, MapError, PathInstall, PathKey, PathMap, SimKernel,
+    EndpointAgent, HostMaps, InstanceId, MapError, PathInstall, PathKey, PathMap, PathMapWrites,
+    SimKernel,
 };
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -176,6 +177,51 @@ proptest! {
             check(map, &model, step)?;
         }
     }
+}
+
+/// A snapshot install writes only what changed, counted in the map:
+/// re-installing the same snapshot writes no entry, changing one
+/// destination's hops writes one, dropping one destination deletes one.
+/// The return value still counts every entry that holds its path.
+#[test]
+fn install_snapshot_writes_only_what_changed() {
+    let kernel = SimKernel::new();
+    let map = kernel.maps().path_map.clone();
+    let mut agent = EndpointAgent::new(kernel.maps().clone());
+    let instance = InstanceId(3);
+    let since = |before: PathMapWrites| {
+        let now = map.writes();
+        (now.updated - before.updated, now.deleted - before.deleted)
+    };
+
+    let paths = installs(3, 0b1111, 7);
+    let w = map.writes();
+    assert_eq!(agent.install_snapshot(1, instance, &paths), 4);
+    assert_eq!(since(w), (4, 0), "a first install writes every entry");
+
+    let w = map.writes();
+    assert_eq!(agent.install_snapshot(2, instance, &paths), 4);
+    assert_eq!(since(w), (0, 0), "an identical re-install writes nothing");
+
+    let mut changed = paths.clone();
+    changed[2].hops.push(99);
+    let w = map.writes();
+    assert_eq!(agent.install_snapshot(3, instance, &changed), 4);
+    assert_eq!(since(w), (1, 0), "one destination's hops changed");
+
+    let dropped = changed[..3].to_vec();
+    let w = map.writes();
+    assert_eq!(agent.install_snapshot(4, instance, &dropped), 3);
+    assert_eq!(since(w), (0, 1), "one destination dropped");
+
+    let mut table = map.snapshot();
+    table.sort();
+    let want: Vec<(PathKey, Vec<u32>)> = dropped
+        .iter()
+        .map(|p| ((p.instance, p.dst_ip), p.hops.clone()))
+        .collect();
+    assert_eq!(table, want);
+    assert_eq!(agent.config_version(), 4);
 }
 
 /// Installing one instance's snapshot costs the same on a host holding

@@ -14,11 +14,13 @@
 //!   latency arrives as actual service delay, and transport stalls
 //!   (slow-loris) burn budget exactly like slow shards;
 //! * every attempt is capped by the budget's remaining time via one
-//!   [`timeout`] around its version poll and ladder, so a stalled
-//!   response can cost at most the rest of this period's budget, never
-//!   block the agent across periods;
-//! * each attempt polls the partition's version itself (the in-process
-//!   harness polls once per partition for the whole fleet).
+//!   [`timeout`] around its poll and ladder, so a stalled response can
+//!   cost at most the rest of this period's budget, never block the
+//!   agent across periods;
+//! * each attempt opens with one `POLL` that carries the partition's
+//!   version and the endpoint's changelog, so an agent with nothing new
+//!   spends one request per period (the in-process harness polls the
+//!   version once per partition for the whole fleet).
 //!
 //! [`pull_round`] drives a whole fleet through one sync period with the
 //! §3.2 query spreading: agent `i` of `n` pulls at `i·spread/n`, and a
@@ -127,9 +129,9 @@ impl Agent {
         self.staleness.periods_behind()
     }
 
-    /// Runs one sync period's pull: attempts (version poll, then the
-    /// catch-up ladder when the published version is ahead) within the
-    /// period's retry budget, then the staleness clock.
+    /// Runs one sync period's pull: attempts (a poll, then the catch-up
+    /// ladder when the published version is ahead) within the period's
+    /// retry budget, then the staleness clock.
     pub async fn sync_period_pull(&mut self, client: &Arc<NetClient>) -> PullReport {
         let start = Instant::now();
         let deadline = start + Duration::from_nanos(self.policy.deadline_ns);
@@ -193,21 +195,25 @@ impl Agent {
         }
     }
 
-    /// One attempt: version poll, then the catch-up ladder when the
-    /// published version is ahead. Returns whether the agent now holds
-    /// the version it observed, and whether it went via the snapshot.
+    /// One attempt: a poll for the published version and the
+    /// endpoint's changelog, then the rest of the catch-up ladder when
+    /// the version is ahead. Returns whether the agent now holds the
+    /// version it observed, and whether it went via the snapshot.
     async fn attempt(&mut self, client: &Arc<NetClient>) -> (bool, bool) {
-        let poll = Request::GetVersion {
+        let poll = Request::Poll {
             partition: self.partition,
+            endpoint: self.endpoint,
         };
-        let target = match read(client, poll).await {
-            Some(Response::VersionIs { version }) => version.unwrap_or(0),
+        let (target, changelog) = match read(client, poll).await {
+            Some(Response::Polled { version, changelog }) => (version.unwrap_or(0), changelog),
             _ => return (false, false),
         };
         if self.version >= target {
             return (true, false); // already fresh, or nothing published yet
         }
-        let (mut ladder, mut step) = PullLadder::start(self.endpoint, self.version, target);
+        // The ladder's first read is the changelog the poll carried.
+        let (mut ladder, _) = PullLadder::start(self.endpoint, self.version, target);
+        let mut step = ladder.on_read(changelog.map_or(PullRead::Missing, PullRead::Value));
         while let PullStep::Read(key) = step {
             step = ladder.on_read(match read(client, key.into()).await {
                 Some(Response::Record { value, .. }) => {

@@ -6,7 +6,7 @@
 //! ```text
 //! offset  size  field
 //! 0       2     magic        0x4D54  ("MT", big-endian)
-//! 2       1     version      protocol version (currently 1)
+//! 2       1     version      protocol version (currently 2)
 //! 3       1     op           opcode (see below)
 //! 4       8     request_id   u64, echoed verbatim in the response
 //! 12      4     body_len     u32, bytes of body following the header
@@ -21,10 +21,12 @@
 //! agents. New needs get new opcodes or a bumped `version` negotiated
 //! via [`Request::Hello`].
 //!
-//! The request ops map 1:1 onto the [`TeKey`] keyspace of the
+//! The read ops map 1:1 onto the [`TeKey`] keyspace of the
 //! delta-versioned control loop: `GetVersion` ↔ `TeKey::Version`,
 //! `GetChangelog` ↔ `TeKey::Changelog`, `GetDelta` ↔ `TeKey::Delta`,
-//! `GetSnapshot` ↔ `TeKey::Snapshot`.
+//! `GetSnapshot` ↔ `TeKey::Snapshot`. [`Request::Poll`] reads two keys
+//! in one request — `TeKey::Version`, then `TeKey::Changelog` — so an
+//! agent with nothing new spends one request per sync period.
 //!
 //! The body checksum is the transport integrity check of the fault
 //! model: a TE-DB read flagged corrupted is forwarded by the server
@@ -38,7 +40,7 @@ use megate_tedb::TeKey;
 /// Frame magic: "MT" big-endian.
 pub const MAGIC: u16 = 0x4D54;
 /// The protocol version this build speaks.
-pub const PROTOCOL_VERSION: u8 = 1;
+pub const PROTOCOL_VERSION: u8 = 2;
 /// Fixed frame-header size in bytes.
 pub const HEADER_LEN: usize = 20;
 /// Default cap on `body_len` a peer will accept (1 MiB). A frame
@@ -60,9 +62,11 @@ pub mod op {
     pub const GET_SNAPSHOT: u8 = 0x05;
     /// Liveness probe; echoes an empty body.
     pub const PING: u8 = 0x06;
+    /// Read a partition's version record, then an endpoint's changelog.
+    pub const POLL: u8 = 0x07;
 
     /// Response opcodes are the request op with the top bit set
-    /// (`0x81..=0x86`), except errors.
+    /// (`0x81..=0x87`), except errors.
     pub const RESPONSE_BIT: u8 = 0x80;
     /// Error response to any request.
     pub const ERROR: u8 = 0xFF;
@@ -134,6 +138,15 @@ pub enum Request {
     },
     /// Liveness probe. Empty body.
     Ping,
+    /// `TeKey::Version { partition }` then `TeKey::Changelog { endpoint }`,
+    /// answered by one [`Response::Polled`]. Body:
+    /// `u32 partition | u64 endpoint`.
+    Poll {
+        /// Controller partition whose clock to read.
+        partition: u32,
+        /// Source endpoint id whose changelog to read.
+        endpoint: u64,
+    },
 }
 
 /// The read request addressing a TE-DB key — the inverse of
@@ -150,16 +163,15 @@ impl From<TeKey> for Request {
 }
 
 impl Request {
-    /// The `TeKey` a data request addresses; `None` for
-    /// `Hello`/`Ping`/`GetVersion` is never returned — version reads
-    /// address `TeKey::Version`.
+    /// The one `TeKey` a read request addresses; `None` for `Hello`,
+    /// `Ping` and `Poll`, which reads two keys.
     pub fn te_key(&self) -> Option<TeKey> {
         Some(match *self {
             Request::GetVersion { partition } => TeKey::Version { partition },
             Request::GetChangelog { endpoint } => TeKey::Changelog { endpoint },
             Request::GetDelta { endpoint, version } => TeKey::Delta { endpoint, version },
             Request::GetSnapshot { endpoint } => TeKey::Snapshot { endpoint },
-            Request::Hello { .. } | Request::Ping => return None,
+            Request::Hello { .. } | Request::Ping | Request::Poll { .. } => return None,
         })
     }
 
@@ -172,6 +184,7 @@ impl Request {
             Request::GetDelta { .. } => op::GET_DELTA,
             Request::GetSnapshot { .. } => op::GET_SNAPSHOT,
             Request::Ping => op::PING,
+            Request::Poll { .. } => op::POLL,
         }
     }
 
@@ -198,6 +211,13 @@ impl Request {
                 out.extend_from_slice(&version.to_be_bytes());
             }
             Request::Ping => {}
+            Request::Poll {
+                partition,
+                endpoint,
+            } => {
+                out.extend_from_slice(&partition.to_be_bytes());
+                out.extend_from_slice(&endpoint.to_be_bytes());
+            }
         }
     }
 
@@ -228,6 +248,11 @@ impl Request {
             }
             .reject_trailing(body, 8)?,
             op::PING if body.is_empty() => Request::Ping,
+            op::POLL => Request::Poll {
+                partition: u32::from_be_bytes(body.get(0..4)?.try_into().ok()?),
+                endpoint: u64::from_be_bytes(body.get(4..12)?.try_into().ok()?),
+            }
+            .reject_trailing(body, 12)?,
             _ => return None,
         })
     }
@@ -262,6 +287,18 @@ pub enum Response {
     },
     /// Liveness reply. Empty body.
     Pong,
+    /// The answer to [`Request::Poll`]. Body:
+    /// `u8 flags | [u64 version] | [changelog record bytes]`; flag bit 0
+    /// says the version is present, bit 1 the changelog, and no other
+    /// bit may be set.
+    Polled {
+        /// The partition's published version, `None` when nothing was
+        /// published.
+        version: Option<u64>,
+        /// The endpoint's raw changelog record, read after the version,
+        /// `None` when the endpoint has none.
+        changelog: Option<Vec<u8>>,
+    },
     /// Request failed. Body: `u16 code | u16 detail_len | detail`
     /// (UTF-8 diagnostic, not machine-parsed).
     Error {
@@ -280,6 +317,7 @@ impl Response {
             Response::VersionIs { .. } => op::GET_VERSION | op::RESPONSE_BIT,
             Response::Record { for_op, .. } => for_op | op::RESPONSE_BIT,
             Response::Pong => op::PING | op::RESPONSE_BIT,
+            Response::Polled { .. } => op::POLL | op::RESPONSE_BIT,
             Response::Error { .. } => op::ERROR,
         }
     }
@@ -310,6 +348,18 @@ impl Response {
                 None => out.push(0),
             },
             Response::Pong => {}
+            Response::Polled { version, changelog } => {
+                out.push(
+                    (u8::from(version.is_some()) * POLLED_VERSION)
+                        | (u8::from(changelog.is_some()) * POLLED_CHANGELOG),
+                );
+                if let Some(v) = version {
+                    out.extend_from_slice(&v.to_be_bytes());
+                }
+                if let Some(log) = changelog {
+                    out.extend_from_slice(log);
+                }
+            }
             Response::Error { code, detail } => {
                 let d = detail.as_bytes();
                 let d = &d[..d.len().min(u16::MAX as usize)];
@@ -352,6 +402,26 @@ impl Response {
                 }
             }
             b if b == op::PING | op::RESPONSE_BIT && body.is_empty() => Response::Pong,
+            b if b == op::POLL | op::RESPONSE_BIT => {
+                let (&flags, rest) = body.split_first()?;
+                if flags & !(POLLED_VERSION | POLLED_CHANGELOG) != 0 {
+                    return None;
+                }
+                let (version, rest) = if flags & POLLED_VERSION != 0 {
+                    let (v, rest) = rest.split_first_chunk::<8>()?;
+                    (Some(u64::from_be_bytes(*v)), rest)
+                } else {
+                    (None, rest)
+                };
+                let changelog = if flags & POLLED_CHANGELOG != 0 {
+                    Some(rest.to_vec())
+                } else if rest.is_empty() {
+                    None
+                } else {
+                    return None;
+                };
+                Response::Polled { version, changelog }
+            }
             op::ERROR => {
                 let code =
                     ErrorCode::from_u16(u16::from_be_bytes(body.get(0..2)?.try_into().ok()?))?;
@@ -359,15 +429,22 @@ impl Response {
                 if body.len() != 4 + dlen {
                     return None;
                 }
+                // Strict UTF-8, so every decoded error re-encodes to the
+                // bytes it came from.
                 Response::Error {
                     code,
-                    detail: String::from_utf8_lossy(&body[4..]).into_owned(),
+                    detail: String::from_utf8(body[4..].to_vec()).ok()?,
                 }
             }
             _ => return None,
         })
     }
 }
+
+/// [`Response::Polled`] flag bit: the version follows.
+const POLLED_VERSION: u8 = 1;
+/// [`Response::Polled`] flag bit: the changelog record follows.
+const POLLED_CHANGELOG: u8 = 1 << 1;
 
 /// FNV-1a/32 — the frame body checksum.
 pub fn crc32_fnv(data: &[u8]) -> u32 {
@@ -706,6 +783,10 @@ mod tests {
             },
             Request::GetSnapshot { endpoint: 1 << 40 },
             Request::Ping,
+            Request::Poll {
+                partition: 3,
+                endpoint: 42,
+            },
         ] {
             let body = req.encode_body();
             assert_eq!(Request::decode(req.op(), &body), Some(req.clone()));
@@ -727,6 +808,14 @@ mod tests {
                 value: Some(vec![1, 2, 3]),
             },
             Response::Pong,
+            Response::Polled {
+                version: Some(9),
+                changelog: Some(vec![4, 5]),
+            },
+            Response::Polled {
+                version: None,
+                changelog: None,
+            },
             Response::Error {
                 code: ErrorCode::Unreachable,
                 detail: "shard 3 unreachable".into(),

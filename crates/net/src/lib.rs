@@ -28,8 +28,8 @@
 //!   ones (resets, truncation, slow-loris) on top;
 //! * [`client`] — a pooled multiplexing client, many agents per
 //!   connection, so a million agents fit under a 20k fd limit;
-//! * [`agent`] — the async endpoint agent: version poll, delta catch-
-//!   up, snapshot fallback, backoff/deadline/degrade bookkeeping — and
+//! * [`agent`] — the async endpoint agent: one `POLL` for the version
+//!   and changelog, delta catch-up, snapshot fallback, backoff/deadline/degrade bookkeeping — and
 //!   [`pull_round`], which pulls a whole fleet through a sync period
 //!   with its queries spread over the period;
 //! * [`http`] — a `GET /metrics` exporter for the megate-obs

@@ -4,9 +4,9 @@
 //!
 //! Each accepted connection becomes one async task running a
 //! read-dispatch-write loop. The server is a thin shim: every data op
-//! is one [`TeDatabase::fetch_outcome`] call, so all of the store's
-//! semantics — replica failover, injected latency, loss, corruption —
-//! flow through unchanged:
+//! is one [`TeDatabase::fetch_outcome`] call per key it reads (`POLL`
+//! reads two), so all of the store's semantics — replica failover,
+//! injected latency, loss, corruption — flow through unchanged:
 //!
 //! * injected shard latency (`ReadOutcome::injected_ns`) becomes a
 //!   real async sleep before the response is written, so clients
@@ -29,7 +29,7 @@ use crate::frame::{
 use crate::io::{AsyncListener, AsyncStream, Endpoint};
 use crate::reactor::Sleep;
 use megate_obs::{Counter, Lazy};
-use megate_tedb::{ShardOutage, TeDatabase};
+use megate_tedb::{ReadOutcome, ShardOutage, TeDatabase, TeKey};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -97,6 +97,7 @@ pub struct ServerState {
     active: AtomicU64,
     bytes_out: AtomicU64,
     bytes_in: AtomicU64,
+    requests: AtomicU64,
 }
 
 impl ServerState {
@@ -111,6 +112,7 @@ impl ServerState {
             active: AtomicU64::new(0),
             bytes_out: AtomicU64::new(0),
             bytes_in: AtomicU64::new(0),
+            requests: AtomicU64::new(0),
         })
     }
 
@@ -153,6 +155,13 @@ impl ServerState {
     /// Total request bytes read.
     pub fn bytes_in(&self) -> u64 {
         self.bytes_in.load(Ordering::Relaxed)
+    }
+
+    /// Requests this server decoded and dispatched. Unlike the
+    /// process-wide `net.requests` counter it counts this instance
+    /// only, so servers sharing a process do not see each other's.
+    pub fn requests(&self) -> u64 {
+        self.requests.load(Ordering::Relaxed)
     }
 
     fn roll_fault(&self) -> FaultRoll {
@@ -264,18 +273,18 @@ pub fn dispatch(db: &TeDatabase, req: &Request) -> (Response, bool, u64) {
             return (resp, false, 0);
         }
         Request::Ping => return (Response::Pong, false, 0),
-        _ => req.te_key().expect("data ops address a TeKey"),
+        &Request::Poll {
+            partition,
+            endpoint,
+        } => return poll(db, partition, endpoint),
+        _ => req.te_key().expect("read ops address one TeKey"),
     };
     match db.fetch_outcome(&key) {
         Err(o) => (outage_response(o), false, 0),
         Ok(out) => {
             let resp = match req {
                 Request::GetVersion { .. } => Response::VersionIs {
-                    version: out
-                        .value
-                        .as_deref()
-                        .filter(|v| v.len() == 8)
-                        .map(|v| u64::from_be_bytes(v.try_into().unwrap())),
+                    version: version_of(&out),
                 },
                 _ => Response::Record {
                     for_op: req.op(),
@@ -285,6 +294,35 @@ pub fn dispatch(db: &TeDatabase, req: &Request) -> (Response, bool, u64) {
             (resp, out.corrupted, out.injected_ns)
         }
     }
+}
+
+/// `POLL`: the partition's version record, then the endpoint's
+/// changelog. In that order, every changelog entry up to the returned
+/// version is in the reply, because §3.2 writes a version's entries
+/// before its version record. Either read unreachable fails the whole
+/// request; either read corrupted breaks the whole reply's checksum;
+/// the injected latency is both reads'.
+fn poll(db: &TeDatabase, partition: u32, endpoint: u64) -> (Response, bool, u64) {
+    let reads = db
+        .fetch_outcome(&TeKey::Version { partition })
+        .and_then(|version| Ok((version, db.fetch_outcome(&TeKey::Changelog { endpoint })?)));
+    match reads {
+        Err(o) => (outage_response(o), false, 0),
+        Ok((version, changelog)) => (
+            Response::Polled {
+                version: version_of(&version),
+                changelog: changelog.value,
+            },
+            version.corrupted || changelog.corrupted,
+            version.injected_ns + changelog.injected_ns,
+        ),
+    }
+}
+
+/// A version record's value; anything but 8 bytes reads as absent.
+fn version_of(out: &ReadOutcome) -> Option<u64> {
+    let bytes = out.value.as_deref()?.try_into().ok()?;
+    Some(u64::from_be_bytes(bytes))
 }
 
 fn outage_response(o: ShardOutage) -> Response {
@@ -372,6 +410,7 @@ async fn serve_conn(state: &Arc<ServerState>, conn: AsyncStream) {
         let (resp, corrupt) = match Request::decode(hdr.op, body) {
             Some(req) => {
                 REQUESTS.inc();
+                state.requests.fetch_add(1, Ordering::Relaxed);
                 let (resp, corrupt, injected_ns) = dispatch(&state.db, &req);
                 if injected_ns > 0 {
                     // Injected shard latency becomes real service time
@@ -471,13 +510,66 @@ impl Outbound<'_> {
 mod tests {
     use super::*;
     use crate::exec::Executor;
-    use megate_tedb::TeKey;
 
     fn test_db() -> TeDatabase {
         let db = TeDatabase::new(4);
         db.publish_version(7);
         db.put(&TeKey::Snapshot { endpoint: 1 }, vec![1, 2, 3]);
         db
+    }
+
+    #[test]
+    fn poll_reads_the_version_then_the_changelog() {
+        let db = test_db();
+        db.put(&TeKey::Changelog { endpoint: 1 }, vec![9, 9]);
+        let poll = |partition, endpoint| Request::Poll {
+            partition,
+            endpoint,
+        };
+        assert_eq!(
+            dispatch(&db, &poll(0, 1)),
+            (
+                Response::Polled {
+                    version: Some(7),
+                    changelog: Some(vec![9, 9]),
+                },
+                false,
+                0
+            )
+        );
+        assert_eq!(
+            dispatch(&db, &poll(0, 2)).0,
+            Response::Polled {
+                version: Some(7),
+                changelog: None,
+            }
+        );
+        assert_eq!(
+            dispatch(&db, &poll(5, 2)).0,
+            Response::Polled {
+                version: None,
+                changelog: None,
+            }
+        );
+        // A poll is unreachable exactly when one of its two reads is.
+        let unreachable = |r: &Request| matches!(dispatch(&db, r).0, Response::Error { .. });
+        for shard in 0..4 {
+            db.set_shard_down(shard, true);
+            let either = unreachable(&Request::GetVersion { partition: 0 })
+                || unreachable(&Request::GetChangelog { endpoint: 1 });
+            assert_eq!(unreachable(&poll(0, 1)), either, "shard {shard} down");
+            db.set_shard_down(shard, false);
+        }
+        // Both reads' injected latency, and one corrupted read breaks
+        // the whole reply.
+        for shard in 0..4 {
+            db.set_shard_slow(shard, 1_000);
+        }
+        assert_eq!(dispatch(&db, &poll(0, 1)).2, 2_000);
+        for shard in 0..4 {
+            db.set_shard_corrupt(shard, 1_000_000);
+        }
+        assert!(dispatch(&db, &poll(0, 1)).1);
     }
 
     #[test]
@@ -491,8 +583,8 @@ mod tests {
             let conn = AsyncStream::connect(&ep).await.unwrap();
             let hello = frame::encode_request(
                 &Request::Hello {
-                    min_version: 1,
-                    max_version: 1,
+                    min_version: PROTOCOL_VERSION,
+                    max_version: PROTOCOL_VERSION,
                 },
                 1,
             );
@@ -500,7 +592,9 @@ mod tests {
             let (_, body) = frame::read_frame(&conn, DEFAULT_MAX_BODY).await.unwrap();
             assert_eq!(
                 Response::decode(frame::op::HELLO | frame::op::RESPONSE_BIT, &body),
-                Some(Response::HelloOk { version: 1 })
+                Some(Response::HelloOk {
+                    version: PROTOCOL_VERSION
+                })
             );
             let req = frame::encode_request(&Request::GetVersion { partition: 0 }, 2);
             conn.write_all(&req).await.unwrap();

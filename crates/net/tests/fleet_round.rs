@@ -1,15 +1,15 @@
 //! The fleet pull round: every agent pulls no earlier than its slot,
 //! the round spans the spread, the runner cap bounds the pulls in
-//! flight, and a zero spread is a burst.
+//! flight, a zero spread is a burst, and an agent with nothing new
+//! sends one request.
 //!
-//! Nothing is published, so each pull is one version poll; slow shards
-//! make that poll take a known minimum time.
+//! In the timing tests nothing is published, so each pull is one poll;
+//! slow shards make that poll take a known minimum time.
 
-use megate::resilience::PullPolicy;
+use megate::prelude::*;
 use megate_net::agent::{pull_round, Agent, FleetPull};
 use megate_net::server::{Server, ServerState};
 use megate_net::{Endpoint, Executor, NetClient};
-use megate_tedb::TeDatabase;
 use std::time::{Duration, Instant};
 
 /// One round over a fresh `n`-agent fleet against a service whose
@@ -105,5 +105,85 @@ fn a_zero_spread_is_a_burst() {
     assert!(
         pulls.iter().all(|p| p.latency == p.done_at),
         "every slot is 0"
+    );
+}
+
+/// A quiet agent costs one request per sync period. A real controller
+/// runs a cold interval and a churned one; in the round after the
+/// churned one, the server answers one poll per agent plus one delta
+/// read per agent whose endpoint changed, and nothing else. Counted on
+/// the server; no clock is read.
+#[test]
+fn a_quiet_agent_costs_one_request_per_period() {
+    let graph = megate_topo::b4();
+    let tunnels = TunnelTable::for_all_pairs(&graph, 3);
+    let catalog = EndpointCatalog::generate(&graph, 400, WeibullEndpoints::with_scale(30.0), 7);
+    let mut demands = DemandSet::generate(
+        &graph,
+        &catalog,
+        &TrafficConfig {
+            endpoint_pairs: 300,
+            site_pairs: 40,
+            seed: 7,
+            ..Default::default()
+        },
+    );
+    demands.scale_to_load(&graph, 0.8);
+    let db = TeDatabase::new(2);
+    let mut controller = Controller::new(
+        graph,
+        tunnels,
+        catalog.clone(),
+        db.clone(),
+        Default::default(),
+    );
+    let exec = Executor::new(2);
+    let state = ServerState::new(db.clone());
+    let server = Server::start(
+        state.clone(),
+        &Endpoint::Tcp("127.0.0.1:0".parse().unwrap()),
+        &exec,
+    )
+    .expect("bind");
+    let client = NetClient::new(server.local().clone(), 2, exec.clone());
+    let mut fleet: Vec<Agent> = catalog
+        .ids()
+        .map(|e| Agent::new(e.0, 0, PullPolicy::default()))
+        .collect();
+    let n = fleet.len();
+
+    controller.run_interval(&demands).expect("cold interval");
+    let cold = pull_round(&exec, &client, &mut fleet, Duration::ZERO, 64);
+    demands.perturb(50_000, 1);
+    let warm = controller.run_interval(&demands).expect("churned interval");
+    // The agents whose changelog logs the new version: each needs one
+    // delta on top of its poll.
+    let changed = fleet
+        .iter()
+        .filter(|a| {
+            db.fetch(&TeKey::Changelog {
+                endpoint: a.endpoint,
+            })
+            .and_then(|raw| Changelog::decode(&raw))
+            .is_some_and(|log| log.versions.contains(&warm.version))
+        })
+        .count();
+    let before = state.requests();
+    let pulls = pull_round(&exec, &client, &mut fleet, Duration::ZERO, 64);
+    let requests = state.requests() - before;
+    client.close();
+    state.shutdown();
+
+    assert!(cold.iter().chain(&pulls).all(|p| p.report.refreshed));
+    assert!(pulls.iter().all(|p| !p.report.via_snapshot));
+    assert!(fleet.iter().all(|a| a.version() == warm.version));
+    assert!(
+        0 < changed && changed < n / 2,
+        "{changed} of {n} endpoints changed"
+    );
+    assert_eq!(
+        requests as usize,
+        n + changed,
+        "{n} agents, {changed} changed: every quiet agent must cost one request"
     );
 }

@@ -255,6 +255,10 @@ fn build_request(which: u8, a: u64, b: u64) -> Request {
             version: b,
         },
         4 => Request::GetSnapshot { endpoint: a },
+        5 => Request::Poll {
+            partition: a as u32,
+            endpoint: b,
+        },
         _ => Request::Ping,
     }
 }
@@ -270,6 +274,12 @@ fn build_response(which: u8, v: u64, bytes: Vec<u8>) -> Response {
             value: (!v.is_multiple_of(3)).then_some(bytes),
         },
         3 => Response::Pong,
+        // Every flag combination; `bytes` may be empty, so an empty
+        // changelog is covered as well as an absent one.
+        4 => Response::Polled {
+            version: (v & 1 != 0).then_some(v),
+            changelog: (v & 2 != 0).then_some(bytes),
+        },
         _ => Response::Error {
             code: ErrorCode::from_u16(1 + (v % 5) as u16).unwrap(),
             detail: String::from_utf8_lossy(&bytes).into_owned(),
@@ -281,7 +291,7 @@ proptest! {
     /// Every request variant survives encode → frame → decode.
     #[test]
     fn request_frames_roundtrip(
-        which in 0u8..6,
+        which in 0u8..7,
         a in any::<u64>(),
         b in any::<u64>(),
         id in any::<u64>(),
@@ -300,7 +310,7 @@ proptest! {
     /// Every response variant survives encode → frame → decode.
     #[test]
     fn response_frames_roundtrip(
-        which in 0u8..5,
+        which in 0u8..6,
         v in any::<u64>(),
         bytes in proptest::collection::vec(any::<u8>(), 0..64),
         id in any::<u64>(),
@@ -319,6 +329,40 @@ proptest! {
     #[test]
     fn header_decode_never_panics(bytes in any::<[u8; HEADER_LEN]>()) {
         let _ = decode_header(&bytes, DEFAULT_MAX_BODY);
+    }
+
+    /// Every op byte with an arbitrary 0–64-byte body: neither decoder
+    /// panics, and whatever decodes re-encodes under the same op to the
+    /// very body it came from — one canonical encoding per message.
+    /// `head` sometimes overwrites the body's front with a small flag
+    /// byte or a consistent error header, so the structured layouts are
+    /// reached and not only their rejections.
+    #[test]
+    fn arbitrary_bodies_decode_canonically(
+        body in proptest::collection::vec(any::<u8>(), 0..65),
+        head in 0u8..3,
+        small in 0u8..8,
+    ) {
+        let mut body = body;
+        match head {
+            1 if !body.is_empty() => body[0] = small % 4,
+            2 if body.len() >= 4 => {
+                let detail = (body.len() - 4) as u16;
+                body[0..2].copy_from_slice(&u16::from(small).to_be_bytes());
+                body[2..4].copy_from_slice(&detail.to_be_bytes());
+            }
+            _ => {}
+        }
+        for op_byte in 0..=u8::MAX {
+            if let Some(req) = Request::decode(op_byte, &body) {
+                prop_assert_eq!(req.op(), op_byte);
+                prop_assert_eq!(req.encode_body(), body.clone(), "{:?}", req);
+            }
+            if let Some(resp) = Response::decode(op_byte, &body) {
+                prop_assert_eq!(resp.op(), op_byte);
+                prop_assert_eq!(resp.encode_body(), body.clone(), "{:?}", resp);
+            }
+        }
     }
 }
 
@@ -342,6 +386,10 @@ fn codec_fingerprint() -> u64 {
         },
         Request::GetSnapshot { endpoint: 6 },
         Request::Ping,
+        Request::Poll {
+            partition: 2,
+            endpoint: 3,
+        },
     ];
     let responses = [
         Response::HelloOk { version: 1 },
@@ -363,6 +411,14 @@ fn codec_fingerprint() -> u64 {
         Response::Error {
             code: ErrorCode::Unreachable,
             detail: "x".into(),
+        },
+        Response::Polled {
+            version: Some(7),
+            changelog: Some(vec![0xAB, 0xCD]),
+        },
+        Response::Polled {
+            version: None,
+            changelog: None,
         },
     ];
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
