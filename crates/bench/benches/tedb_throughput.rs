@@ -3,21 +3,25 @@
 //! linearly with shards (paper: 160k qps on two shards).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use megate_tedb::TeDatabase;
+use megate_tedb::{TeDatabase, TeKey};
+
+fn snapshot(endpoint: u64) -> TeKey {
+    TeKey::Snapshot { endpoint }
+}
 
 fn bench_single_thread(c: &mut Criterion) {
     let mut group = c.benchmark_group("tedb_single_thread");
     for &shards in &[1usize, 2, 4] {
         let db = TeDatabase::new(shards);
         for i in 0..10_000 {
-            db.set(&format!("ep:{i}"), vec![0u8; 64]);
+            db.put(&snapshot(i), vec![0u8; 64]);
         }
         group.throughput(Throughput::Elements(1));
         group.bench_with_input(BenchmarkId::new("get", shards), &db, |b, db| {
             let mut i = 0u64;
             b.iter(|| {
                 i = (i + 1) % 10_000;
-                db.get(&format!("ep:{i}"))
+                db.fetch(&snapshot(i))
             })
         });
     }
@@ -27,10 +31,10 @@ fn bench_single_thread(c: &mut Criterion) {
 fn bench_concurrent(c: &mut Criterion) {
     let mut group = c.benchmark_group("tedb_concurrent");
     group.sample_size(10);
-    for &threads in &[2usize, 8] {
+    for &threads in &[2u64, 8] {
         let db = TeDatabase::new(2);
         for i in 0..10_000 {
-            db.set(&format!("ep:{i}"), vec![0u8; 64]);
+            db.put(&snapshot(i), vec![0u8; 64]);
         }
         // Measure 100k queries spread over N client threads.
         group.throughput(Throughput::Elements(100_000));
@@ -41,7 +45,7 @@ fn bench_concurrent(c: &mut Criterion) {
                         let db = db.clone();
                         s.spawn(move || {
                             for i in 0..(100_000 / threads) {
-                                db.get(&format!("ep:{}", (t * 31 + i) % 10_000));
+                                db.fetch(&snapshot((t * 31 + i) % 10_000));
                             }
                         });
                     }

@@ -174,9 +174,7 @@ fn run_cell(endpoints: usize, churn: f64, churn_rounds: usize) -> PropagationRow
     // the version record, so agents keep seeing versions they cannot
     // fetch, blow the stale TTL and degrade; then heal the shard and
     // measure the recovery pull.
-    let victim = 1 - sys
-        .database()
-        .shard_of(&TeKey::Version { partition: 0 }.wire());
+    let victim = 1 - sys.database().shard_of(&TeKey::Version { partition: 0 });
     sys.database().set_shard_down(victim, true);
     for _ in 0..(STALE_TTL + 2) {
         sys.run_controller_interval(&demands)

@@ -870,7 +870,7 @@ impl Controller {
         // Encode everything before touching the database, so an encode
         // failure (e.g. a >255-hop tunnel) publishes nothing at all.
         let encode_span = megate_obs::span("controller.encode");
-        let mut deltas: Vec<(EndpointId, Vec<u8>)> =
+        let mut deltas: Vec<(u64, Vec<u8>)> =
             Vec::with_capacity(diff.changed.len() + diff.removed.len());
         for ep in diff.changed.iter().chain(&diff.removed) {
             let prev = self
@@ -879,13 +879,13 @@ impl Controller {
                 .map(Self::to_config)
                 .unwrap_or_default();
             let next = next_paths.get(ep).map(Self::to_config).unwrap_or_default();
-            deltas.push((*ep, encode_delta(&diff_configs(&prev, &next))?));
+            deltas.push((ep.0, encode_delta(&diff_configs(&prev, &next))?));
         }
         let flush_snapshots = force_snapshot
             || fallback
             || self.heal_flush
             || version.is_multiple_of(self.config.snapshot_every);
-        let mut snapshots: Vec<(EndpointId, Vec<u8>)> = Vec::new();
+        let mut snapshots: Vec<(u64, Vec<u8>)> = Vec::new();
         if flush_snapshots {
             // Catch up every endpoint that changed since its last
             // flush, including the ones changing right now.
@@ -900,7 +900,7 @@ impl Controller {
                 let mut value = Vec::with_capacity(8 + body.len());
                 value.extend_from_slice(&version.to_be_bytes());
                 value.extend_from_slice(&body);
-                snapshots.push((*ep, value));
+                snapshots.push((ep.0, value));
             }
         }
         drop(encode_span);
@@ -911,61 +911,52 @@ impl Controller {
             (deltas.len() + snapshots.len()) as u64,
         );
 
-        // Commit: entries first, version record last (§3.2 ordering).
-        // The obs counters mirror `published_bytes` (deltas and
-        // snapshots tallied separately — the paper's Figure 14 split);
-        // they never feed back into the report's accounting.
+        // Garbage-collect deltas and changelog entries that fell out of
+        // the retention window (the old `published_keys` list grew
+        // without bound; the ring is capped by construction). None of
+        // them is at `version` or newer, so collecting before this
+        // version's writes leaves the same records as collecting after.
+        let gc_span = megate_obs::span("controller.gc");
+        let floor = version.saturating_sub(self.config.retention_versions);
+        let mut expired: Vec<u64> = Vec::new();
+        while self.delta_ring.front().is_some_and(|(v, _)| *v <= floor) {
+            let Some((_, endpoints)) = self.delta_ring.pop_front() else {
+                break;
+            };
+            expired.extend(endpoints.iter().map(|ep| ep.0));
+        }
+        let reclaimed = self.db.gc_before(floor, &expired) as u64;
+        megate_obs::counter("controller.gc_reclaimed").add(reclaimed);
+        drop(gc_span);
+
+        // Commit as one batch: entries first, version record last (§3.2
+        // ordering). The obs counters mirror `published_bytes` (deltas
+        // and snapshots tallied separately — the paper's Figure 14
+        // split); they never feed back into the report's accounting.
+        // Each delta also appends its version to the endpoint's
+        // changelog, amortized at 12 + 8 bytes.
         let publish_span = megate_obs::span("controller.publish");
-        let mut published_bytes = 0u64;
-        let mut delta_bytes = 0u64;
-        let mut snapshot_bytes = 0u64;
-        let mut publish_errors = 0usize;
-        let touched: Vec<EndpointId> = deltas.iter().map(|(ep, _)| *ep).collect();
-        for (ep, bytes) in deltas {
-            published_bytes += bytes.len() as u64;
-            delta_bytes += bytes.len() as u64;
-            // Checked writes: a write that reaches no replica is
-            // counted, the endpoint stays dirty, and the next snapshot
-            // flush catches its agents up.
-            let delta_ok = self
-                .db
-                .put_checked(
-                    &TeKey::Delta {
-                        endpoint: ep.0,
-                        version,
-                    },
-                    bytes,
-                )
-                .is_ok();
-            let log_ok = self.db.record_change(ep.0, version).is_ok();
-            if !delta_ok || !log_ok {
-                publish_errors += 1;
-            }
-            published_bytes += 12 + 8; // changelog append, amortized
-            delta_bytes += 12 + 8;
-            self.dirty_snapshots.insert(ep);
+        let delta_bytes: u64 = deltas.iter().map(|(_, b)| b.len() as u64 + 12 + 8).sum();
+        let snapshot_bytes: u64 = snapshots.iter().map(|(_, v)| v.len() as u64).sum();
+        let touched: Vec<EndpointId> = deltas.iter().map(|(ep, _)| EndpointId(*ep)).collect();
+        let written = self
+            .db
+            .write_batch(self.config.partition, version, deltas, snapshots);
+        // A write that reaches no replica is counted, the endpoint
+        // stays dirty, and the next snapshot flush catches its agents
+        // up.
+        let publish_errors = written.failed_deltas.len() + written.failed_snapshots.len();
+        if flush_snapshots {
+            // This flush wrote every dirty snapshot; one that reached
+            // no replica leaves its endpoint dirty for the next flush.
+            self.dirty_snapshots.clear();
+            self.dirty_snapshots
+                .extend(written.failed_snapshots.into_iter().map(EndpointId));
+        } else {
+            self.dirty_snapshots.extend(touched.iter().copied());
         }
         if !touched.is_empty() {
             self.delta_ring.push_back((version, touched));
-        }
-        let mut failed_snapshots: Vec<EndpointId> = Vec::new();
-        for (ep, value) in snapshots {
-            published_bytes += value.len() as u64;
-            snapshot_bytes += value.len() as u64;
-            if self
-                .db
-                .put_checked(&TeKey::Snapshot { endpoint: ep.0 }, value)
-                .is_err()
-            {
-                publish_errors += 1;
-                failed_snapshots.push(ep);
-            }
-        }
-        if flush_snapshots {
-            self.dirty_snapshots.clear();
-            // A snapshot that reached no replica leaves its endpoint
-            // dirty for the next flush.
-            self.dirty_snapshots.extend(failed_snapshots);
         }
         megate_obs::counter("controller.delta_bytes").add(delta_bytes);
         megate_obs::counter("controller.snapshot_bytes").add(snapshot_bytes);
@@ -975,27 +966,7 @@ impl Controller {
         // interval (and keep flushing until the writes go through).
         self.heal_flush = publish_errors > 0;
         drop(publish_span);
-
-        // Garbage-collect deltas and changelog entries that fell out of
-        // the retention window (the old `published_keys` list grew
-        // without bound; the ring is capped by construction).
-        let gc_span = megate_obs::span("controller.gc");
-        let floor = version.saturating_sub(self.config.retention_versions);
-        let mut reclaimed = 0u64;
-        while self.delta_ring.front().is_some_and(|(v, _)| *v <= floor) {
-            let Some((_, endpoints)) = self.delta_ring.pop_front() else {
-                break;
-            };
-            for ep in endpoints {
-                reclaimed += self.db.gc_endpoint_before(ep.0, floor) as u64;
-            }
-        }
-        megate_obs::counter("controller.gc_reclaimed").add(reclaimed);
-        drop(gc_span);
-
-        self.db
-            .publish_partition_version(self.config.partition, version);
-        published_bytes += 8;
+        let published_bytes = delta_bytes + snapshot_bytes + 8;
         self.version = version;
         trace::record(
             trace::Stage::Publish,
@@ -1314,6 +1285,71 @@ mod tests {
         );
         for s in 0..db.shard_count() {
             db.set_shard_down(s, false);
+        }
+    }
+
+    #[test]
+    fn a_dark_shard_fails_exactly_its_endpoints_and_the_next_flush_heals_them() {
+        let (mut ctl, demands) = fixture_with(ControllerConfig {
+            snapshot_every: 1,
+            ..Default::default()
+        });
+        // Three shards, two replicas each: with shards `dark` and its
+        // successor down, every replica of the keys whose primary is
+        // `dark` is unreachable, and every other key keeps one.
+        let db = TeDatabase::with_replication(3, 2);
+        ctl.db = db.clone();
+        let dark = (db.shard_of(&TeKey::Version { partition: 0 }) + 1) % 3;
+        db.set_shard_down(dark, true);
+        db.set_shard_down((dark + 1) % 3, true);
+        let on_dark = |key: TeKey| db.shard_of(&key) == dark;
+
+        let r1 = ctl.run_interval(&demands).unwrap();
+        assert!(r1.snapshot_flush);
+        let endpoints: Vec<EndpointId> = ctl.published_paths().keys().copied().collect();
+        assert_eq!(
+            r1.changed_endpoints,
+            endpoints.len(),
+            "cold: every endpoint changed"
+        );
+        let lost_deltas = endpoints
+            .iter()
+            .filter(|ep| {
+                on_dark(TeKey::Delta {
+                    endpoint: ep.0,
+                    version: 1,
+                }) || on_dark(TeKey::Changelog { endpoint: ep.0 })
+            })
+            .count();
+        let lost_snapshots: BTreeSet<EndpointId> = endpoints
+            .iter()
+            .copied()
+            .filter(|ep| on_dark(TeKey::Snapshot { endpoint: ep.0 }))
+            .collect();
+        assert!(lost_deltas > 0 && !lost_snapshots.is_empty());
+        assert!(
+            lost_snapshots.len() < endpoints.len(),
+            "other shards took writes"
+        );
+        assert_eq!(r1.publish_errors, lost_deltas + lost_snapshots.len());
+        assert_eq!(
+            ctl.dirty_snapshots, lost_snapshots,
+            "exactly the endpoints whose snapshot was lost stay dirty"
+        );
+        assert!(ctl.heal_flush);
+
+        db.set_shard_down(dark, false);
+        db.set_shard_down((dark + 1) % 3, false);
+        let r2 = ctl.run_interval(&demands).unwrap();
+        assert_eq!(r2.publish_errors, 0);
+        assert!(ctl.dirty_snapshots.is_empty());
+        assert!(!ctl.heal_flush);
+        for ep in &lost_snapshots {
+            let value = db
+                .fetch(&TeKey::Snapshot { endpoint: ep.0 })
+                .expect("healed snapshot");
+            assert_eq!(value[..8], r2.version.to_be_bytes(), "endpoint {ep:?}");
+            assert!(decode_paths(&value[8..]).is_some());
         }
     }
 

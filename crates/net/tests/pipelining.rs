@@ -261,9 +261,9 @@ fn a_ready_response_is_not_held_behind_a_slow_shard() {
     let exec = Executor::new(2);
     let db = TeDatabase::new(4);
     let slow_key = TeKey::Snapshot { endpoint: 1 };
-    let slow_shard = db.shard_of(&slow_key.wire());
+    let slow_shard = db.shard_of(&slow_key);
     let fast_endpoint = (2..64u64)
-        .find(|&e| db.shard_of(&TeKey::Snapshot { endpoint: e }.wire()) != slow_shard)
+        .find(|&e| db.shard_of(&TeKey::Snapshot { endpoint: e }) != slow_shard)
         .expect("some endpoint lives on another shard");
     db.put(&slow_key, vec![1; 32]);
     db.put(

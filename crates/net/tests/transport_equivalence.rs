@@ -173,7 +173,7 @@ fn in_process_and_socket_pulls_agree_after_every_period() {
     // keeps seeing versions it cannot fully fetch, and whoever depends
     // on the dead shard goes stale, then degrades at the TTL.
     let db = t.sys.database().clone();
-    let victim = 1 - db.shard_of(&TeKey::Version { partition: 0 }.wire());
+    let victim = 1 - db.shard_of(&TeKey::Version { partition: 0 });
     db.set_shard_down(victim, true);
     let mut degraded = 0;
     for _ in 0..STALE_TTL + 1 {

@@ -10,10 +10,14 @@
 //! and fetch the new configuration only on a version change — eventual
 //! consistency instead of synchronized push.
 //!
-//! * [`store`] — the sharded KV store with versioned-config helpers and
-//!   per-shard query accounting (the pull loop itself — query spreading,
-//!   convergence, shard load — is measured over real sockets by
-//!   `megate_net::pull_round` and `fig14_sync_scale`, not modelled);
+//! * [`keyspace`] — the typed keys ([`TeKey`]), their wire form and
+//!   shard placement, and the per-endpoint [`Changelog`];
+//! * [`store`] — the sharded database: one batched write path
+//!   ([`TeDatabase::write_batch`]), replicated reads with failover,
+//!   fault injection, repair and per-shard query accounting (the pull
+//!   loop itself — query spreading, convergence, shard load — is
+//!   measured over real sockets by `megate_net::pull_round` and
+//!   `fig14_sync_scale`, not modelled);
 //! * [`topdown`] — the calibrated resource model of the conventional
 //!   push loop (persistent connections + heartbeats) behind Figures 13
 //!   and 14;
@@ -27,10 +31,13 @@
 
 pub mod faults;
 pub mod hybrid;
+pub mod keyspace;
+mod shard;
 pub mod store;
 pub mod topdown;
 
 pub use faults::{FaultEvent, FaultPlan, FaultSpec};
 pub use hybrid::{evaluate_hybrid, heavy_tailed_volumes, HybridConfig, HybridOutcome};
-pub use store::{Changelog, ReadOutcome, ShardOutage, TeDatabase, TeKey, CONFIG_VERSION_KEY};
+pub use keyspace::{Changelog, TeKey, CONFIG_VERSION_KEY};
+pub use store::{BatchOutcome, ReadOutcome, ShardOutage, TeDatabase};
 pub use topdown::{BottomUpModel, TopDownModel};

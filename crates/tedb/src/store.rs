@@ -1,34 +1,46 @@
-//! Sharded in-memory key-value store — the customized Redis of §3.2.
+//! The sharded in-memory TE database — the customized Redis of §3.2:
+//! replication, fault injection and repair over shards that hold the
+//! typed [`crate::keyspace`].
 //!
-//! Keys are routed to shards by FNV hash. Every read and write bumps a
-//! per-shard query counter *and* a per-shard byte counter (key + value
-//! moved over the wire), so simulations and benchmarks can reason about
-//! per-shard load against the paper's 80k-queries/second/shard budget
-//! (160k on two shards, "linearly scaled with more shard resources")
-//! and about the byte savings of delta-versioned pulls.
+//! Keys are placed on shards by FNV hash of their wire form. Every read
+//! and write bumps a per-shard query counter *and* a per-shard byte
+//! counter (key + value moved over the wire), so simulations and
+//! benchmarks can reason about per-shard load against the paper's
+//! 80k-queries/second/shard budget (160k on two shards, "linearly
+//! scaled with more shard resources") and about the byte savings of
+//! delta-versioned pulls.
 //!
-//! On top of the raw string API sits the **typed TE keyspace**
-//! ([`TeKey`]): the version record, per-endpoint snapshots,
-//! per-`(endpoint, version)` deltas and per-endpoint version changelogs
-//! that the delta-versioned control loop publishes, plus changelog
-//! bookkeeping ([`TeDatabase::record_change`]) and garbage collection
-//! of superseded deltas ([`TeDatabase::gc_endpoint_before`]).
+//! ## One write path
+//!
+//! A controller interval publishes with one call,
+//! [`TeDatabase::write_batch`], the way a publisher pipelines its writes
+//! into Redis: the batch's deltas, changelog appends and snapshots are
+//! grouped by replica shard, each shard's write lock is taken once,
+//! large batches write their shards in parallel, and the version record
+//! is written after every entry (§3.2's write-then-publish order).
+//! Changelogs grow in place ([`TeDatabase::record_change`] is an
+//! append, not a read-modify-write), and garbage collection of
+//! superseded deltas ([`TeDatabase::gc_before`]) prunes them in place
+//! too. The one-entry calls — [`put`](TeDatabase::put),
+//! [`record_change`](TeDatabase::record_change),
+//! [`publish_version`](TeDatabase::publish_version), … — are batches of
+//! one.
 //!
 //! ## Replication & failover
 //!
 //! [`TeDatabase::with_replication`] stores every key on `k` successive
-//! shards (primary first). Writes fan out to every reachable replica;
-//! reads are served by the primary and **fail over** to the next
-//! replica when the primary is unreachable (counted in
-//! `tedb.failover_reads`). Each value carries a monotonically
-//! increasing write sequence number, so when a shard recovers from an
-//! outage a **last-writer-wins repair pass**
+//! shards (primary first); the replicas share the value's bytes. Writes
+//! fan out to every reachable replica; reads are served by the primary
+//! and **fail over** to the next replica when the primary is
+//! unreachable (counted in `tedb.failover_reads`). Each value carries a
+//! monotonically increasing write sequence number, so when a shard
+//! recovers from an outage a **last-writer-wins repair pass**
 //! ([`TeDatabase::repair_shard`], run automatically on recovery) copies
-//! every newer replica value back onto it. Deletes are not
-//! tombstoned: a key deleted while one of its replicas was down can be
-//! served again by that replica after recovery — harmless for the TE
-//! keyspace, where garbage-collected deltas are only reachable through
-//! the (pruned) changelog.
+//! every newer replica value back onto it. Deletes are not tombstoned:
+//! a key deleted while one of its replicas was down can be served again
+//! by that replica after recovery — harmless for the TE keyspace, where
+//! garbage-collected deltas are only reachable through the (pruned)
+//! changelog.
 //!
 //! ## Fault injection
 //!
@@ -40,175 +52,27 @@
 //! *corrupting* (a per-read probability that the returned value has one
 //! bit flipped; [`ReadOutcome::corrupted`] models the transport
 //! checksum that lets a careful client detect and retry it, while the
-//! unchecked [`TeDatabase::get`] delivers the damaged bytes to exercise
-//! decoder robustness). All rolls come from a seeded deterministic
-//! stream ([`TeDatabase::set_fault_seed`]), so a single-threaded
-//! simulation replays bit-for-bit. [`crate::faults::FaultPlan`] drives
-//! these knobs on a schedule.
+//! unchecked [`TeDatabase::fetch`] delivers the damaged bytes to
+//! exercise decoder robustness). All rolls come from a seeded
+//! deterministic stream ([`TeDatabase::set_fault_seed`]), so a
+//! single-threaded simulation replays bit-for-bit. Writes roll nothing.
+//! [`crate::faults::FaultPlan`] drives these knobs on a schedule.
 
+use crate::keyspace::{Changelog, KeyMap, TeKey};
+use crate::shard::{self, Op, Shard, Stored};
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use megate_obs::trace;
 use parking_lot::Mutex;
-use parking_lot::RwLock;
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
-use std::sync::Arc;
-
-/// Key under which the current TE configuration version is stored.
-///
-/// This is partition 0's version record; partitioned control planes
-/// publish additional per-partition records under
-/// `te:config:version:p<N>` (see [`TeKey::Version`]).
-pub const CONFIG_VERSION_KEY: &str = "te:config:version";
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, OnceLock};
 
 /// Queries per second one shard sustains (paper: 160k qps on 2 shards).
 pub const SHARD_QPS_CAPACITY: u64 = 80_000;
 
-/// The typed TE-DB keyspace of the delta-versioned control loop.
-///
-/// Endpoints are raw u64 ids here (the store is topology-agnostic);
-/// `megate-core` maps them from `EndpointId`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum TeKey {
-    /// A partition's configuration version record (8-byte big-endian
-    /// u64). Partition 0 is the legacy single-controller record and
-    /// keeps the historical wire form [`CONFIG_VERSION_KEY`]; a
-    /// partitioned control plane gives each controller its own version
-    /// clock under `te:config:version:p<N>`.
-    Version {
-        /// The controller partition owning this version clock.
-        partition: u32,
-    },
-    /// An endpoint's latest full snapshot: `u64 stamp | snapshot body`,
-    /// where `stamp` is the version whose state the body reflects.
-    Snapshot {
-        /// The source endpoint.
-        endpoint: u64,
-    },
-    /// The delta that moves `endpoint` from its state *before*
-    /// `version` to its state *at* `version`.
-    Delta {
-        /// The source endpoint.
-        endpoint: u64,
-        /// The version this delta produces.
-        version: u64,
-    },
-    /// The endpoint's version changelog: at which retained versions its
-    /// configuration changed (see [`Changelog`]).
-    Changelog {
-        /// The source endpoint.
-        endpoint: u64,
-    },
-}
-
-impl TeKey {
-    /// The wire (string) form the shards hash and store.
-    pub fn wire(&self) -> String {
-        match self {
-            TeKey::Version { partition: 0 } => CONFIG_VERSION_KEY.to_string(),
-            TeKey::Version { partition } => format!("{CONFIG_VERSION_KEY}:p{partition}"),
-            TeKey::Snapshot { endpoint } => format!("te:snap:{endpoint}"),
-            TeKey::Delta { endpoint, version } => format!("te:delta:{endpoint}:{version}"),
-            TeKey::Changelog { endpoint } => format!("te:log:{endpoint}"),
-        }
-    }
-}
-
-impl std::fmt::Display for TeKey {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(&self.wire())
-    }
-}
-
-/// A per-endpoint version changelog: the versions at which the
-/// endpoint's configuration changed, complete for every version
-/// strictly greater than `complete_since` (older deltas may have been
-/// garbage-collected — an agent whose installed version predates
-/// `complete_since` must fall back to the snapshot).
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct Changelog {
-    /// The log is complete for changes at versions `> complete_since`.
-    pub complete_since: u64,
-    /// Ascending change versions still retained.
-    pub versions: Vec<u64>,
-}
-
-impl Changelog {
-    /// Wire encoding: `u64 complete_since | u32 count | count × u64`.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(12 + self.versions.len() * 8);
-        out.extend_from_slice(&self.complete_since.to_be_bytes());
-        out.extend_from_slice(&(self.versions.len() as u32).to_be_bytes());
-        for v in &self.versions {
-            out.extend_from_slice(&v.to_be_bytes());
-        }
-        out
-    }
-
-    /// Bounds-checked decode; `None` on truncation or trailing bytes.
-    pub fn decode(bytes: &[u8]) -> Option<Self> {
-        let complete_since = u64::from_be_bytes(bytes.get(0..8)?.try_into().ok()?);
-        let count = u32::from_be_bytes(bytes.get(8..12)?.try_into().ok()?) as usize;
-        if bytes.len() != 12 + count * 8 {
-            return None;
-        }
-        let mut versions = Vec::with_capacity(count);
-        for i in 0..count {
-            let at = 12 + i * 8;
-            versions.push(u64::from_be_bytes(bytes.get(at..at + 8)?.try_into().ok()?));
-        }
-        Some(Self {
-            complete_since,
-            versions,
-        })
-    }
-}
-
-/// A stored value plus the global write sequence that produced it —
-/// the last-writer-wins ordering the repair pass compares.
-#[derive(Debug, Clone)]
-struct Stored {
-    seq: u64,
-    value: Vec<u8>,
-}
-
-#[derive(Debug, Default)]
-struct Shard {
-    data: RwLock<HashMap<String, Stored>>,
-    queries: AtomicU64,
-    /// Bytes moved over this shard's wire: keys both ways, values on
-    /// SET (request) and on GET hits (response).
-    bytes: AtomicU64,
-    /// Failure injection: a down shard answers nothing (GET -> None,
-    /// SET dropped) — what a client sees during a shard outage.
-    down: std::sync::atomic::AtomicBool,
-    /// Injected per-query service latency (ns); 0 = healthy.
-    slow_ns: AtomicU64,
-    /// Probability (ppm) that a read fails transiently (connection
-    /// drop) even though the shard is up.
-    loss_ppm: AtomicU32,
-    /// Probability (ppm) that a read returns a value with one flipped
-    /// bit.
-    corrupt_ppm: AtomicU32,
-    /// Position in the shard's deterministic fault-roll stream.
-    fault_ops: AtomicU64,
-    /// Per-shard query service time, exported as
-    /// `tedb.shard<i>.query_ns` (all databases in the process sharing
-    /// a shard index aggregate into the same histogram).
-    latency: megate_obs::Histogram,
-}
-
-impl Shard {
-    fn is_down(&self) -> bool {
-        self.down.load(Ordering::Relaxed)
-    }
-
-    /// One deterministic fault roll in `[0, 1_000_000)`.
-    fn roll(&self, seed: u64, shard_idx: usize) -> u64 {
-        let op = self.fault_ops.fetch_add(1, Ordering::Relaxed);
-        splitmix64(seed ^ ((shard_idx as u64) << 48) ^ op) % 1_000_000
-    }
-}
+/// Batches with at least this many writes spread their shards over
+/// threads; smaller ones (a warm interval's few hundred endpoints, every
+/// one-entry call) run on the calling thread.
+const PARALLEL_WRITES: usize = 4096;
 
 /// What one (possibly failed-over) replicated read saw.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -227,6 +91,28 @@ pub struct ReadOutcome {
     /// The transport checksum failed: the value has a flipped bit. A
     /// resilient client treats this as a retryable failure.
     pub corrupted: bool,
+}
+
+/// What a [`TeDatabase::write_batch`] could not store. An endpoint is
+/// listed when its write reached no replica: the caller keeps it dirty
+/// and republishes.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct BatchOutcome {
+    /// Endpoints whose delta or changelog append was lost, in batch
+    /// order.
+    pub failed_deltas: Vec<u64>,
+    /// Endpoints whose snapshot was lost, in batch order.
+    pub failed_snapshots: Vec<u64>,
+}
+
+/// What applying one batch of [`Op`]s did.
+struct Applied {
+    /// Per op: a put or append was stored on at least one replica, a
+    /// removed key existed on one, a pruned log was present on one.
+    landed: Vec<bool>,
+    /// Changelog versions the batch's prunes dropped, as `(op,
+    /// version)`, once per replica that dropped them.
+    pruned: Vec<(u32, u64)>,
 }
 
 /// The sharded TE database. Clones share storage (like extra client
@@ -285,10 +171,7 @@ impl TeDatabase {
         Self {
             shards: Arc::new(
                 (0..n_shards)
-                    .map(|i| Shard {
-                        latency: megate_obs::histogram(&format!("tedb.shard{i}.query_ns")),
-                        ..Shard::default()
-                    })
+                    .map(|i| Shard::new(megate_obs::histogram(&format!("tedb.shard{i}.query_ns"))))
                     .collect(),
             ),
             watchers: Arc::new(Mutex::new(Vec::new())),
@@ -347,109 +230,267 @@ impl TeDatabase {
         self.replication
     }
 
-    /// Which shard a key routes to (its primary).
-    pub fn shard_of(&self, key: &str) -> usize {
-        (fnv(key.as_bytes()) % self.shards.len() as u64) as usize
+    /// Which shard a key routes to (its primary): FNV-1a of its wire
+    /// form modulo the shard count.
+    pub fn shard_of(&self, key: &TeKey) -> usize {
+        (key.placement() % self.shards.len() as u64) as usize
     }
 
     /// The shards holding a key: primary first, then `replication - 1`
     /// successors.
-    pub fn replicas_of(&self, key: &str) -> impl Iterator<Item = usize> + '_ {
+    pub fn replicas_of(&self, key: &TeKey) -> impl Iterator<Item = usize> + '_ {
         let primary = self.shard_of(key);
         let n = self.shards.len();
         (0..self.replication).map(move |i| (primary + i) % n)
     }
 
-    /// SET — routes by key hash, counts one query per replica. Writes
-    /// to a downed replica are dropped (the client would see a
-    /// connection error; the repair pass catches the replica up on
-    /// recovery).
-    pub fn set(&self, key: &str, value: Vec<u8>) {
-        let _ = self.set_checked(key, value);
+    fn add_wire_bytes(&self, bytes: u64) {
+        self.wire_bytes.add(bytes);
+        self.partition_bytes.add(bytes);
     }
 
-    /// SET that reports whether the value landed anywhere: `Err` means
-    /// every replica was unreachable and the write was lost entirely.
-    pub fn set_checked(&self, key: &str, value: Vec<u8>) -> Result<(), ShardOutage> {
-        let t = megate_obs::start();
-        let seq = self.write_seq.fetch_add(1, Ordering::Relaxed);
-        let mut landed = false;
-        let primary = self.shard_of(key);
-        for shard_idx in self.replicas_of(key) {
-            let s = &self.shards[shard_idx];
-            s.queries.fetch_add(1, Ordering::Relaxed);
-            s.bytes
-                .fetch_add((key.len() + value.len()) as u64, Ordering::Relaxed);
-            self.wire_bytes.add((key.len() + value.len()) as u64);
-            self.partition_bytes.add((key.len() + value.len()) as u64);
-            if s.is_down() {
+    /// The one write path. Routes every op to its replica shards and
+    /// charges each replica a query and the request's bytes (a write to
+    /// a downed replica crossed the wire and was dropped). Takes every
+    /// reachable shard's write lock once, in shard order, reserving map
+    /// room on this thread; then applies each shard's ops in batch
+    /// order — on up to `available_parallelism` threads when the batch
+    /// is large. Op `i` carries write sequence `seq0 + i` from one
+    /// reserved range. With `trace_version`, records one
+    /// [`trace::Stage::ShardWrite`] event per shard written.
+    fn apply(&self, ops: &[Op], trace_version: Option<u64>) -> Applied {
+        let n = self.shards.len();
+        let seq0 = self
+            .write_seq
+            .fetch_add(ops.len() as u64, Ordering::Relaxed);
+        // Counting sort of (op, replica shard) pairs by shard.
+        let primaries: Vec<usize> = ops.iter().map(|op| self.shard_of(&op.key())).collect();
+        let mut start = vec![0usize; n + 1];
+        for &p in &primaries {
+            for r in 0..self.replication {
+                start[(p + r) % n + 1] += 1;
+            }
+        }
+        for s in 0..n {
+            start[s + 1] += start[s];
+        }
+        let mut order = vec![0u32; start[n]];
+        let mut fill = start.clone();
+        for (i, &p) in primaries.iter().enumerate() {
+            for r in 0..self.replication {
+                let s = (p + r) % n;
+                order[fill[s]] = i as u32;
+                fill[s] += 1;
+            }
+        }
+        drop(primaries);
+        let list = |s: usize| &order[start[s]..start[s + 1]];
+
+        let mut held = Vec::new();
+        let mut total_bytes = 0;
+        for (s, shard) in self.shards.iter().enumerate() {
+            if list(s).is_empty() {
                 continue;
             }
-            s.data.write().insert(
-                key.to_string(),
-                Stored {
-                    seq,
-                    value: value.clone(),
-                },
-            );
-            s.latency.record_elapsed(t);
-            landed = true;
+            let bytes = shard.charge(ops, list(s));
+            total_bytes += bytes;
+            if !shard.is_down() {
+                let mut map = shard.lock();
+                let room = Shard::new_keys(map.len(), ops, list(s));
+                map.reserve(room);
+                held.push((s, bytes, map));
+            }
         }
-        if landed {
+        self.add_wire_bytes(total_bytes);
+
+        // Set by whichever replica's writer stores the op; the scope's
+        // join orders every store before the reads below.
+        let landed: Vec<AtomicBool> = ops.iter().map(|_| AtomicBool::new(false)).collect();
+        let shards = &self.shards;
+        let landed_ref = &landed;
+        let run = |s: usize, map: &mut KeyMap<Stored>| {
+            let t = megate_obs::start();
+            let pruned = shard::apply(map, ops, list(s), seq0, landed_ref);
+            shards[s].latency.record_elapsed(t);
+            pruned
+        };
+        let workers = if ops.len() >= PARALLEL_WRITES {
+            parallelism().min(held.len())
+        } else {
+            1
+        };
+        let pruned = if workers <= 1 {
+            held.iter_mut()
+                .flat_map(|(s, _, map)| run(*s, map))
+                .collect()
+        } else {
+            let mut shares: Vec<Vec<(usize, &mut KeyMap<Stored>)>> =
+                (0..workers).map(|_| Vec::new()).collect();
+            for (k, (s, _, map)) in held.iter_mut().enumerate() {
+                shares[k % workers].push((*s, &mut **map));
+            }
+            let run = &run;
+            std::thread::scope(|scope| {
+                let mut shares = shares.into_iter();
+                let mine = shares.next().expect("at least two workers");
+                let others: Vec<_> = shares
+                    .map(|share| {
+                        scope.spawn(move || {
+                            share
+                                .into_iter()
+                                .flat_map(|(s, map)| run(s, map))
+                                .collect::<Vec<_>>()
+                        })
+                    })
+                    .collect();
+                let mut pruned: Vec<_> =
+                    mine.into_iter().flat_map(|(s, map)| run(s, map)).collect();
+                for worker in others {
+                    pruned.extend(worker.join().expect("shard writer panicked"));
+                }
+                pruned
+            })
+        };
+        if let Some(version) = trace_version {
+            for (s, bytes, _) in &held {
+                trace::record(trace::Stage::ShardWrite, version, *s as u64, *bytes);
+            }
+        }
+        drop(held);
+        Applied {
+            landed: landed.into_iter().map(AtomicBool::into_inner).collect(),
+            pruned,
+        }
+    }
+
+    /// One SET through the batch path.
+    fn put_one(
+        &self,
+        key: &TeKey,
+        value: Vec<u8>,
+        trace_version: Option<u64>,
+    ) -> Result<(), ShardOutage> {
+        if self
+            .apply(&[Op::Put(*key, value.into())], trace_version)
+            .landed[0]
+        {
             Ok(())
         } else {
-            Err(ShardOutage { shard: primary })
+            Err(ShardOutage {
+                shard: self.shard_of(key),
+            })
         }
     }
 
-    /// GET — routes by key hash, counts one query per attempted
-    /// replica. Fails over to replicas when the primary is
-    /// unreachable; when every replica is down the read answers
-    /// nothing. Injected corruption passes through undetected (the
-    /// decoder-robustness path); use [`read_outcome`](Self::read_outcome)
-    /// to observe it.
-    pub fn get(&self, key: &str) -> Option<Vec<u8>> {
-        self.read_outcome(key).ok().and_then(|o| o.value)
+    /// Publishes one controller interval as one batch: every delta
+    /// (`(endpoint, bytes)`, stored under `TeKey::Delta { endpoint,
+    /// version }`) with its changelog append, then every snapshot
+    /// (`(endpoint, stamped bytes)`), and — once all of them are
+    /// written — `partition`'s version record. Each shard's write lock
+    /// is taken once; large batches write their shards in parallel;
+    /// each value is stored once and shared by its replicas. Records
+    /// one [`trace::Stage::ShardWrite`] event per shard, stamped with
+    /// `version`.
+    pub fn write_batch(
+        &self,
+        partition: u32,
+        version: u64,
+        deltas: Vec<(u64, Vec<u8>)>,
+        snapshots: Vec<(u64, Vec<u8>)>,
+    ) -> BatchOutcome {
+        let n_deltas = deltas.len();
+        let mut ops = Vec::with_capacity(2 * n_deltas + snapshots.len());
+        for (endpoint, value) in deltas {
+            ops.push(Op::Put(TeKey::Delta { endpoint, version }, value.into()));
+            ops.push(Op::append(endpoint, version));
+        }
+        for (endpoint, value) in snapshots {
+            ops.push(Op::Put(TeKey::Snapshot { endpoint }, value.into()));
+        }
+        let landed = self.apply(&ops, Some(version)).landed;
+        let endpoint = |i: usize| match ops[i].key() {
+            TeKey::Delta { endpoint, .. } | TeKey::Snapshot { endpoint } => endpoint,
+            key => unreachable!("batch holds no {key}"),
+        };
+        let outcome = BatchOutcome {
+            failed_deltas: (0..n_deltas)
+                .filter(|&d| !(landed[2 * d] && landed[2 * d + 1]))
+                .map(|d| endpoint(2 * d))
+                .collect(),
+            failed_snapshots: (2 * n_deltas..ops.len())
+                .filter(|&i| !landed[i])
+                .map(endpoint)
+                .collect(),
+        };
+        drop(ops);
+        self.publish_partition_version(partition, version);
+        outcome
     }
 
-    /// GET that distinguishes a missing key from a shard outage —
+    /// Typed SET. Writes to a downed replica are dropped (the client
+    /// would see a connection error; the repair pass catches the
+    /// replica up on recovery).
+    pub fn put(&self, key: &TeKey, value: Vec<u8>) {
+        let _ = self.put_one(key, value, None);
+    }
+
+    /// Typed SET with full-outage reporting: `Err` means every replica
+    /// was unreachable and the write was lost entirely. Records a
+    /// [`trace::Stage::ShardWrite`] flight-recorder event per shard
+    /// written, stamped with the config version the record carries (the
+    /// delta key's version, a snapshot value's 8-byte stamp prefix, 0
+    /// for versionless records) so a propagation dump shows when each
+    /// endpoint's bytes actually reached the database.
+    pub fn put_checked(&self, key: &TeKey, value: Vec<u8>) -> Result<(), ShardOutage> {
+        let version = match key {
+            TeKey::Delta { version, .. } => *version,
+            TeKey::Snapshot { .. } if value.len() >= 8 => {
+                u64::from_be_bytes(value[..8].try_into().unwrap())
+            }
+            _ => 0,
+        };
+        self.put_one(key, value, Some(version))
+    }
+
+    /// Typed GET. Injected corruption passes through undetected (the
+    /// decoder-robustness path); use
+    /// [`fetch_outcome`](Self::fetch_outcome) to observe it.
+    pub fn fetch(&self, key: &TeKey) -> Option<Vec<u8>> {
+        self.fetch_outcome(key).ok().and_then(|o| o.value)
+    }
+
+    /// Typed GET that distinguishes a missing key from a shard outage —
     /// what a real client sees as a connection error. Pull loops use
     /// this to avoid adopting a version whose entries they could not
     /// read.
-    pub fn get_checked(&self, key: &str) -> Result<Option<Vec<u8>>, ShardOutage> {
-        self.read_outcome(key).map(|o| o.value)
+    pub fn fetch_checked(&self, key: &TeKey) -> Result<Option<Vec<u8>>, ShardOutage> {
+        self.fetch_outcome(key).map(|o| o.value)
     }
 
     /// The full replicated read: which replica served it, whether the
     /// read failed over, how much injected latency it accumulated, and
-    /// whether the transport checksum flagged corruption. `Err` only
-    /// when every replica was unreachable (down or lossy).
-    pub fn read_outcome(&self, key: &str) -> Result<ReadOutcome, ShardOutage> {
+    /// whether the transport checksum flagged corruption. Counts one
+    /// query per attempted replica. `Err` only when every replica was
+    /// unreachable (down or lossy).
+    pub fn fetch_outcome(&self, key: &TeKey) -> Result<ReadOutcome, ShardOutage> {
         let t = megate_obs::start();
         let seed = self.fault_seed.load(Ordering::Relaxed);
-        let primary = self.shard_of(key);
+        let key_len = key.wire_len() as u64;
         let mut injected_ns = 0u64;
         for (attempt, shard_idx) in self.replicas_of(key).enumerate() {
             let s = &self.shards[shard_idx];
             s.queries.fetch_add(1, Ordering::Relaxed);
             injected_ns = injected_ns.saturating_add(s.slow_ns.load(Ordering::Relaxed));
-            if s.is_down() {
-                // Failed connection: the key still crossed the wire.
-                s.bytes.fetch_add(key.len() as u64, Ordering::Relaxed);
-                self.wire_bytes.add(key.len() as u64);
-                self.partition_bytes.add(key.len() as u64);
-                continue;
-            }
             let loss = s.loss_ppm.load(Ordering::Relaxed);
-            if loss > 0 && s.roll(seed, shard_idx) < loss as u64 {
-                // Transient connection drop — indistinguishable from a
-                // brief outage to the client.
-                s.bytes.fetch_add(key.len() as u64, Ordering::Relaxed);
-                self.wire_bytes.add(key.len() as u64);
-                self.partition_bytes.add(key.len() as u64);
+            // A downed shard, or a transient connection drop —
+            // indistinguishable from a brief outage to the client. The
+            // key still crossed the wire.
+            if s.is_down() || (loss > 0 && s.roll(seed, shard_idx) < loss as u64) {
+                s.bytes.fetch_add(key_len, Ordering::Relaxed);
+                self.add_wire_bytes(key_len);
                 continue;
             }
-            let mut hit = s.data.read().get(key).map(|st| st.value.clone());
+            let mut hit = s.get(key);
             let mut corrupted = false;
             let corrupt = s.corrupt_ppm.load(Ordering::Relaxed);
             if corrupt > 0 && s.roll(seed, shard_idx) < corrupt as u64 {
@@ -462,11 +503,9 @@ impl TeDatabase {
                     }
                 }
             }
-            let response = hit.as_ref().map_or(0, Vec::len);
-            s.bytes
-                .fetch_add((key.len() + response) as u64, Ordering::Relaxed);
-            self.wire_bytes.add((key.len() + response) as u64);
-            self.partition_bytes.add((key.len() + response) as u64);
+            let moved = key_len + hit.as_ref().map_or(0, Vec::len) as u64;
+            s.bytes.fetch_add(moved, Ordering::Relaxed);
+            self.add_wire_bytes(moved);
             s.latency.record_elapsed(t);
             if attempt > 0 {
                 self.failover_reads.inc();
@@ -479,59 +518,15 @@ impl TeDatabase {
                 corrupted,
             });
         }
-        Err(ShardOutage { shard: primary })
+        Err(ShardOutage {
+            shard: self.shard_of(key),
+        })
     }
 
-    // ---- Typed-key API (the delta-versioned keyspace) ----
-
-    /// Typed SET.
-    pub fn put(&self, key: &TeKey, value: Vec<u8>) {
-        self.set(&key.wire(), value);
-    }
-
-    /// Typed SET with full-outage reporting. Records a
-    /// [`trace::Stage::ShardWrite`] flight-recorder event stamped with
-    /// the config version the record carries (the delta key's version,
-    /// a snapshot value's 8-byte stamp prefix, 0 for versionless
-    /// records) so a propagation dump shows when each endpoint's bytes
-    /// actually reached the database.
-    pub fn put_checked(&self, key: &TeKey, value: Vec<u8>) -> Result<(), ShardOutage> {
-        let version = match key {
-            TeKey::Delta { version, .. } => *version,
-            TeKey::Snapshot { .. } if value.len() >= 8 => {
-                u64::from_be_bytes(value[..8].try_into().unwrap())
-            }
-            _ => 0,
-        };
-        let wire = key.wire();
-        trace::record(
-            trace::Stage::ShardWrite,
-            version,
-            self.shard_of(&wire) as u64,
-            value.len() as u64,
-        );
-        self.set_checked(&wire, value)
-    }
-
-    /// Typed GET.
-    pub fn fetch(&self, key: &TeKey) -> Option<Vec<u8>> {
-        self.get(&key.wire())
-    }
-
-    /// Typed GET with outage reporting.
-    pub fn fetch_checked(&self, key: &TeKey) -> Result<Option<Vec<u8>>, ShardOutage> {
-        self.get_checked(&key.wire())
-    }
-
-    /// Typed GET with the full [`ReadOutcome`] (failover, injected
-    /// latency, detected corruption).
-    pub fn fetch_outcome(&self, key: &TeKey) -> Result<ReadOutcome, ShardOutage> {
-        self.read_outcome(&key.wire())
-    }
-
-    /// Typed DEL — returns whether the key existed on any replica.
+    /// Typed DEL — returns whether the key existed on any reachable
+    /// replica.
     pub fn remove(&self, key: &TeKey) -> bool {
-        self.del(&key.wire())
+        self.apply(&[Op::Remove(*key)], None).landed[0]
     }
 
     /// Bumps the version record *after* all of the version's entries
@@ -545,45 +540,37 @@ impl TeDatabase {
     }
 
     /// Bumps one controller partition's version record. Partition 0 is
-    /// the legacy record under [`CONFIG_VERSION_KEY`]; other partitions
-    /// get their own key so independent controllers never contend on
-    /// one clock. Watchers receive every publish regardless of
-    /// partition (the §8 hybrid push is deployed single-partition).
+    /// the legacy record under [`crate::CONFIG_VERSION_KEY`]; other
+    /// partitions get their own key so independent controllers never
+    /// contend on one clock. Watchers receive every publish regardless
+    /// of partition (the §8 hybrid push is deployed single-partition).
     pub fn publish_partition_version(&self, partition: u32, version: u64) {
-        let wire = TeKey::Version { partition }.wire();
+        let key = TeKey::Version { partition };
         trace::record(
             trace::Stage::VersionBump,
             version,
-            self.shard_of(&wire) as u64,
+            self.shard_of(&key) as u64,
             partition as u64,
         );
-        self.set(&wire, version.to_be_bytes().to_vec());
+        self.put(&key, version.to_be_bytes().to_vec());
         self.watchers.lock().retain(|w| w.send(version).is_ok());
     }
 
-    /// Appends `version` to an endpoint's changelog (read-modify-write;
-    /// the controller is the single writer). Creates the log on first
-    /// change. `Err` when the read or the write could not reach any
-    /// replica — the caller must retry rather than clobber history
-    /// with a fresh log.
+    /// Appends `version` to an endpoint's changelog, in place on each
+    /// replica (creating the log on first change; appending the version
+    /// it already ends at is a no-op). `Err` when no replica was
+    /// reachable — the caller keeps the endpoint dirty and retries.
     pub fn record_change(&self, endpoint: u64, version: u64) -> Result<(), ShardOutage> {
-        let key = TeKey::Changelog { endpoint };
-        let outcome = self.fetch_outcome(&key)?;
-        if outcome.corrupted {
-            // Unreadable history: retry next interval instead of
-            // overwriting it with a guess.
-            return Err(ShardOutage {
-                shard: outcome.served_by,
-            });
+        if self
+            .apply(&[Op::append(endpoint, version)], Some(version))
+            .landed[0]
+        {
+            Ok(())
+        } else {
+            Err(ShardOutage {
+                shard: self.shard_of(&TeKey::Changelog { endpoint }),
+            })
         }
-        let mut log = outcome
-            .value
-            .and_then(|b| Changelog::decode(&b))
-            .unwrap_or_default();
-        if log.versions.last() != Some(&version) {
-            log.versions.push(version);
-        }
-        self.put_checked(&key, log.encode())
     }
 
     /// The endpoint's decoded changelog, if present and well-formed.
@@ -591,43 +578,44 @@ impl TeDatabase {
         Changelog::decode(&self.fetch(&TeKey::Changelog { endpoint })?)
     }
 
-    /// Garbage-collects an endpoint's deltas at versions `<= floor`:
-    /// deletes the superseded delta records, prunes them from the
-    /// changelog and raises its `complete_since` watermark so agents
-    /// older than `floor` know to fall back to the snapshot. Returns
-    /// the number of delta records deleted. Skips (returns 0) when the
-    /// changelog is unreachable or unreadable — the next interval's GC
-    /// retries.
+    /// Garbage-collects the deltas at versions `<= floor` of every
+    /// listed endpoint, as two batches: first each changelog is pruned
+    /// in place (the dropped versions removed, `complete_since` raised
+    /// to `floor` so agents older than `floor` know to fall back to the
+    /// snapshot), then the dropped versions' delta records are deleted —
+    /// so no reader finds a listed delta missing. Returns the number of
+    /// delta records deleted. An endpoint whose changelog no replica
+    /// could reach, or that is malformed, is skipped; the next
+    /// interval's GC retries.
+    pub fn gc_before(&self, floor: u64, endpoints: &[u64]) -> usize {
+        let prunes: Vec<Op> = endpoints
+            .iter()
+            .map(|&endpoint| Op::Prune { endpoint, floor })
+            .collect();
+        let mut dropped = self.apply(&prunes, None).pruned;
+        drop(prunes);
+        // Every replica reports the versions it dropped.
+        dropped.sort_unstable();
+        dropped.dedup();
+        let removes: Vec<Op> = dropped
+            .into_iter()
+            .map(|(i, version)| {
+                Op::Remove(TeKey::Delta {
+                    endpoint: endpoints[i as usize],
+                    version,
+                })
+            })
+            .collect();
+        self.apply(&removes, None)
+            .landed
+            .into_iter()
+            .filter(|&existed| existed)
+            .count()
+    }
+
+    /// [`gc_before`](Self::gc_before) for one endpoint.
     pub fn gc_endpoint_before(&self, endpoint: u64, floor: u64) -> usize {
-        let key = TeKey::Changelog { endpoint };
-        let Ok(outcome) = self.fetch_outcome(&key) else {
-            return 0;
-        };
-        if outcome.corrupted {
-            return 0;
-        }
-        let Some(mut log) = outcome.value.and_then(|b| Changelog::decode(&b)) else {
-            return 0;
-        };
-        let mut removed = 0;
-        log.versions.retain(|&v| {
-            if v <= floor {
-                if self.remove(&TeKey::Delta {
-                    endpoint,
-                    version: v,
-                }) {
-                    removed += 1;
-                }
-                false
-            } else {
-                true
-            }
-        });
-        if log.complete_since < floor {
-            log.complete_since = floor;
-        }
-        self.put(&key, log.encode());
-        removed
+        self.gc_before(floor, &[endpoint])
     }
 
     // ---- Fault injection & repair ----
@@ -645,7 +633,7 @@ impl TeDatabase {
 
     /// True if the given shard is currently down.
     pub fn shard_is_down(&self, shard: usize) -> bool {
-        self.shards[shard].down.load(Ordering::Relaxed)
+        self.shards[shard].is_down()
     }
 
     /// Injects `ns` of service latency into every query the shard
@@ -707,25 +695,27 @@ impl TeDatabase {
         if self.replication <= 1 {
             return 0;
         }
-        let mut newest: HashMap<String, Stored> = HashMap::new();
+        let mut newest: KeyMap<Stored> = KeyMap::default();
         for (i, other) in self.shards.iter().enumerate() {
             if i == shard {
                 continue;
             }
-            for (k, st) in other.data.read().iter() {
-                if !self.replicas_of(k).any(|r| r == shard) {
-                    continue;
-                }
-                match newest.get(k) {
-                    Some(seen) if seen.seq >= st.seq => {}
-                    _ => {
-                        newest.insert(k.clone(), st.clone());
+            other.read(|data| {
+                for (k, st) in data {
+                    if !self.replicas_of(k).any(|r| r == shard) {
+                        continue;
+                    }
+                    match newest.get(k) {
+                        Some(seen) if seen.seq >= st.seq => {}
+                        _ => {
+                            newest.insert(*k, st.clone());
+                        }
                     }
                 }
-            }
+            });
         }
         let mut repaired = 0usize;
-        let mut data = self.shards[shard].data.write();
+        let mut data = self.shards[shard].lock();
         for (k, st) in newest {
             let stale = data.get(&k).is_none_or(|cur| cur.seq < st.seq);
             if stale {
@@ -735,25 +725,6 @@ impl TeDatabase {
         }
         self.repaired_keys.add(repaired as u64);
         repaired
-    }
-
-    /// DEL — returns whether the key existed on any reachable replica.
-    pub fn del(&self, key: &str) -> bool {
-        let t = megate_obs::start();
-        let mut existed = false;
-        for shard_idx in self.replicas_of(key) {
-            let s = &self.shards[shard_idx];
-            s.queries.fetch_add(1, Ordering::Relaxed);
-            s.bytes.fetch_add(key.len() as u64, Ordering::Relaxed);
-            self.wire_bytes.add(key.len() as u64);
-            self.partition_bytes.add(key.len() as u64);
-            if s.is_down() {
-                continue;
-            }
-            existed |= s.data.write().remove(key).is_some();
-            s.latency.record_elapsed(t);
-        }
-        existed
     }
 
     /// Total queries served across shards.
@@ -794,23 +765,6 @@ impl TeDatabase {
             s.queries.store(0, Ordering::Relaxed);
             s.bytes.store(0, Ordering::Relaxed);
         }
-    }
-
-    // ---- Legacy versioned-config helpers (Figure 4(b)) ----
-    //
-    // The pre-delta string-keyed publish path: every endpoint's full
-    // config rewritten under `te:config:{version}:{key}` each interval.
-    // Kept for the §8 hybrid experiments and as the full-republish
-    // baseline the delta plane is benchmarked against.
-
-    /// Publishes a new TE configuration the full-republish way: writes
-    /// all entries, then bumps the version key last so a reader that
-    /// sees version `v` is guaranteed to find `v`'s entries.
-    pub fn publish_config(&self, version: u64, entries: &[(String, Vec<u8>)]) {
-        for (k, v) in entries {
-            self.set(&config_key(version, k), v.clone());
-        }
-        self.publish_version(version);
     }
 
     /// The latest published configuration version (the endpoint's cheap
@@ -858,26 +812,30 @@ impl TeDatabase {
         }
     }
 
-    /// Fetches one entry of a full-republish configuration version.
-    pub fn fetch_config(&self, version: u64, key: &str) -> Option<Vec<u8>> {
-        self.get(&config_key(version, key))
+    /// Write-lock acquisitions across shards.
+    #[cfg(test)]
+    pub(crate) fn write_locks(&self) -> u64 {
+        self.shards.iter().map(Shard::write_locks).sum()
     }
 
-    /// [`fetch_config`](Self::fetch_config) with outage reporting.
-    pub fn fetch_config_checked(
-        &self,
-        version: u64,
-        key: &str,
-    ) -> Result<Option<Vec<u8>>, ShardOutage> {
-        self.get_checked(&config_key(version, key))
+    /// One shard's contents as `(wire key, write sequence, value)`,
+    /// sorted.
+    #[cfg(test)]
+    pub(crate) fn shard_contents(&self, shard: usize) -> Vec<(String, u64, Vec<u8>)> {
+        let mut all: Vec<_> = self.shards[shard].read(|data| {
+            data.iter()
+                .map(|(k, st)| (k.wire(), st.seq, st.value.to_vec()))
+                .collect()
+        });
+        all.sort();
+        all
     }
+}
 
-    /// Garbage-collects all entries of an old full-republish version.
-    pub fn evict_version(&self, version: u64, keys: &[String]) {
-        for k in keys {
-            self.del(&config_key(version, k));
-        }
-    }
+/// Threads a large batch may write its shards on.
+fn parallelism() -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
 /// A shard was unreachable — the client's connection failed. With
@@ -896,19 +854,6 @@ impl std::fmt::Display for ShardOutage {
 
 impl std::error::Error for ShardOutage {}
 
-fn config_key(version: u64, key: &str) -> String {
-    format!("te:config:{version}:{key}")
-}
-
-fn fnv(data: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for &b in data {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
-}
-
 /// SplitMix64 — the deterministic mixer behind fault rolls and the
 /// fault-plan generator (no `rand` dependency on this crate).
 pub(crate) fn splitmix64(x: u64) -> u64 {
@@ -921,34 +866,41 @@ pub(crate) fn splitmix64(x: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::CONFIG_VERSION_KEY;
+
+    fn snap(endpoint: u64) -> TeKey {
+        TeKey::Snapshot { endpoint }
+    }
+
+    fn delta(endpoint: u64, version: u64) -> TeKey {
+        TeKey::Delta { endpoint, version }
+    }
 
     #[test]
     fn set_get_del_roundtrip() {
         let db = TeDatabase::new(2);
-        db.set("a", vec![1, 2, 3]);
-        assert_eq!(db.get("a"), Some(vec![1, 2, 3]));
-        assert!(db.del("a"));
-        assert!(!db.del("a"));
-        assert_eq!(db.get("a"), None);
+        db.put(&snap(1), vec![1, 2, 3]);
+        assert_eq!(db.fetch(&snap(1)), Some(vec![1, 2, 3]));
+        assert!(db.remove(&snap(1)));
+        assert!(!db.remove(&snap(1)));
+        assert_eq!(db.fetch(&snap(1)), None);
     }
 
     #[test]
     fn keys_spread_across_shards() {
         let db = TeDatabase::new(4);
-        let mut seen = std::collections::HashSet::new();
-        for i in 0..100 {
-            seen.insert(db.shard_of(&format!("key{i}")));
-        }
+        let seen: std::collections::HashSet<usize> =
+            (0..100).map(|i| db.shard_of(&snap(i))).collect();
         assert!(seen.len() >= 3, "hash should hit most shards, got {seen:?}");
     }
 
     #[test]
     fn query_counters_count_every_operation() {
         let db = TeDatabase::new(2);
-        db.set("x", vec![]);
-        db.get("x");
-        db.get("y");
-        db.del("x");
+        db.put(&snap(1), vec![]);
+        db.fetch(&snap(1));
+        db.fetch(&snap(2));
+        db.remove(&snap(1));
         assert_eq!(db.total_queries(), 4);
         db.reset_query_counters();
         assert_eq!(db.total_queries(), 0);
@@ -957,10 +909,12 @@ mod tests {
     #[test]
     fn byte_counters_track_keys_and_values() {
         let db = TeDatabase::new(1);
-        db.set("ab", vec![0; 10]); // 2 + 10
-        db.get("ab"); // 2 + 10
-        db.get("zz"); // 2 + 0 (miss)
-        assert_eq!(db.total_bytes(), 26);
+        db.put(&snap(1), vec![0; 10]); // "te:snap:1" + 10
+        db.fetch(&snap(1)); // 9 + 10
+        db.fetch(&snap(2)); // 9 + 0 (miss)
+        assert_eq!(db.total_bytes(), 47);
+        db.record_change(5, 3).unwrap(); // "te:log:5" + one u64
+        assert_eq!(db.total_bytes(), 47 + 16);
         db.reset_query_counters();
         assert_eq!(db.total_bytes(), 0);
     }
@@ -971,19 +925,10 @@ mod tests {
             TeKey::Version { partition: 0 },
             TeKey::Version { partition: 1 },
             TeKey::Version { partition: 12 },
-            TeKey::Snapshot { endpoint: 7 },
-            TeKey::Delta {
-                endpoint: 7,
-                version: 3,
-            },
-            TeKey::Delta {
-                endpoint: 7,
-                version: 4,
-            },
-            TeKey::Delta {
-                endpoint: 73,
-                version: 4,
-            },
+            snap(7),
+            delta(7, 3),
+            delta(7, 4),
+            delta(73, 4),
             TeKey::Changelog { endpoint: 7 },
         ];
         let wires: std::collections::HashSet<String> = keys.iter().map(TeKey::wire).collect();
@@ -1016,21 +961,18 @@ mod tests {
         let h1 = db.for_partition(1);
         assert_eq!(h1.account_partition(), 1);
         let before = megate_obs::counter("tedb.partition1.bytes").get();
-        h1.set("ab", vec![0; 10]); // 2 + 10
-        h1.get("ab"); // 2 + 10
+        h1.put(&snap(1), vec![0; 10]); // 9 + 10
+        h1.fetch(&snap(1)); // 9 + 10
         let after = megate_obs::counter("tedb.partition1.bytes").get();
-        assert_eq!(after - before, 24);
+        assert_eq!(after - before, 38);
         // Storage is shared with the parent handle.
-        assert_eq!(db.get("ab"), Some(vec![0; 10]));
+        assert_eq!(db.fetch(&snap(1)), Some(vec![0; 10]));
     }
 
     #[test]
     fn typed_put_fetch_remove_roundtrip() {
         let db = TeDatabase::new(2);
-        let k = TeKey::Delta {
-            endpoint: 9,
-            version: 2,
-        };
+        let k = delta(9, 2);
         db.put(&k, vec![1, 2]);
         assert_eq!(db.fetch(&k), Some(vec![1, 2]));
         assert_eq!(db.fetch_checked(&k), Ok(Some(vec![1, 2])));
@@ -1084,31 +1026,13 @@ mod tests {
     fn gc_prunes_deltas_and_raises_watermark() {
         let db = TeDatabase::new(2);
         for v in [1u64, 3, 5, 9] {
-            db.put(
-                &TeKey::Delta {
-                    endpoint: 2,
-                    version: v,
-                },
-                vec![v as u8],
-            );
+            db.put(&delta(2, v), vec![v as u8]);
             db.record_change(2, v).unwrap();
         }
         let removed = db.gc_endpoint_before(2, 5);
         assert_eq!(removed, 3);
-        assert_eq!(
-            db.fetch(&TeKey::Delta {
-                endpoint: 2,
-                version: 3
-            }),
-            None
-        );
-        assert_eq!(
-            db.fetch(&TeKey::Delta {
-                endpoint: 2,
-                version: 9
-            }),
-            Some(vec![9])
-        );
+        assert_eq!(db.fetch(&delta(2, 3)), None);
+        assert_eq!(db.fetch(&delta(2, 9)), Some(vec![9]));
         let log = db.changelog(2).unwrap();
         assert_eq!(log.versions, vec![9]);
         assert_eq!(log.complete_since, 5);
@@ -1120,79 +1044,78 @@ mod tests {
     fn publish_then_read_version_and_entries() {
         let db = TeDatabase::new(2);
         assert_eq!(db.latest_version(), None);
-        db.publish_config(7, &[("host1".into(), vec![9]), ("host2".into(), vec![8])]);
+        let out = db.write_batch(0, 7, vec![(1, vec![9]), (2, vec![8])], vec![]);
+        assert_eq!(out, BatchOutcome::default());
         assert_eq!(db.latest_version(), Some(7));
-        assert_eq!(db.fetch_config(7, "host1"), Some(vec![9]));
-        assert_eq!(db.fetch_config(7, "host3"), None);
-        assert_eq!(db.fetch_config(6, "host1"), None);
+        assert_eq!(db.fetch(&delta(1, 7)), Some(vec![9]));
+        assert_eq!(db.fetch(&delta(3, 7)), None);
+        assert_eq!(db.fetch(&delta(1, 6)), None);
+        assert_eq!(db.changelog(2).unwrap().versions, vec![7]);
     }
 
     #[test]
     fn version_monotonically_replaces() {
         let db = TeDatabase::new(1);
-        db.publish_config(1, &[("h".into(), vec![1])]);
-        db.publish_config(2, &[("h".into(), vec![2])]);
+        db.write_batch(0, 1, vec![(4, vec![1])], vec![]);
+        db.write_batch(0, 2, vec![(4, vec![2])], vec![]);
         assert_eq!(db.latest_version(), Some(2));
-        // Old version's entries remain until evicted.
-        assert_eq!(db.fetch_config(1, "h"), Some(vec![1]));
-        db.evict_version(1, &["h".into()]);
-        assert_eq!(db.fetch_config(1, "h"), None);
+        // Old version's entries remain until collected.
+        assert_eq!(db.fetch(&delta(4, 1)), Some(vec![1]));
+        assert_eq!(db.gc_before(1, &[4]), 1);
+        assert_eq!(db.fetch(&delta(4, 1)), None);
+        assert_eq!(db.fetch(&delta(4, 2)), Some(vec![2]));
     }
 
     #[test]
     fn downed_shard_answers_nothing_then_recovers() {
         let db = TeDatabase::new(2);
-        db.set("k1", vec![1]);
-        let shard = db.shard_of("k1");
+        db.put(&snap(1), vec![1]);
+        let shard = db.shard_of(&snap(1));
         db.set_shard_down(shard, true);
         assert!(db.shard_is_down(shard));
-        assert_eq!(db.get("k1"), None, "outage hides the entry");
-        db.set("k1", vec![2]); // dropped write
+        assert_eq!(db.fetch(&snap(1)), None, "outage hides the entry");
+        db.put(&snap(1), vec![2]); // dropped write
         db.set_shard_down(shard, false);
-        assert_eq!(db.get("k1"), Some(vec![1]), "data survives the outage");
+        assert_eq!(
+            db.fetch(&snap(1)),
+            Some(vec![1]),
+            "data survives the outage"
+        );
     }
 
     #[test]
     fn other_shards_unaffected_by_one_outage() {
         let db = TeDatabase::new(4);
-        // Find two keys on different shards.
-        let mut keys = Vec::new();
-        for i in 0..100 {
-            let k = format!("key{i}");
-            if keys.iter().all(|(_, s)| *s != db.shard_of(&k)) {
-                let s = db.shard_of(&k);
-                keys.push((k, s));
-                if keys.len() == 2 {
-                    break;
-                }
-            }
-        }
-        let (ka, sa) = keys[0].clone();
-        let (kb, _) = keys[1].clone();
-        db.set(&ka, vec![1]);
-        db.set(&kb, vec![2]);
+        let ka = snap(0);
+        let sa = db.shard_of(&ka);
+        let kb = (1..100)
+            .map(snap)
+            .find(|k| db.shard_of(k) != sa)
+            .expect("two shards in use");
+        db.put(&ka, vec![1]);
+        db.put(&kb, vec![2]);
         db.set_shard_down(sa, true);
-        assert_eq!(db.get(&ka), None);
-        assert_eq!(db.get(&kb), Some(vec![2]));
+        assert_eq!(db.fetch(&ka), None);
+        assert_eq!(db.fetch(&kb), Some(vec![2]));
     }
 
     #[test]
     fn clones_share_data() {
         let a = TeDatabase::new(2);
         let b = a.clone();
-        a.set("k", vec![5]);
-        assert_eq!(b.get("k"), Some(vec![5]));
+        a.put(&snap(1), vec![5]);
+        assert_eq!(b.fetch(&snap(1)), Some(vec![5]));
     }
 
     #[test]
     fn replicated_reads_fail_over_to_a_live_replica() {
         let db = TeDatabase::with_replication(3, 2);
-        db.set("k", vec![7]);
-        let primary = db.shard_of("k");
+        db.put(&snap(1), vec![7]);
+        let primary = db.shard_of(&snap(1));
         db.set_shard_down(primary, true);
         // The replica still serves the value.
-        assert_eq!(db.get("k"), Some(vec![7]));
-        let out = db.read_outcome("k").unwrap();
+        assert_eq!(db.fetch(&snap(1)), Some(vec![7]));
+        let out = db.fetch_outcome(&snap(1)).unwrap();
         assert!(out.failed_over);
         assert_ne!(out.served_by, primary);
         assert_eq!(out.value, Some(vec![7]));
@@ -1201,31 +1124,31 @@ mod tests {
     #[test]
     fn replicated_read_fails_only_when_all_replicas_down() {
         let db = TeDatabase::with_replication(3, 2);
-        db.set("k", vec![7]);
-        let replicas: Vec<usize> = db.replicas_of("k").collect();
+        db.put(&snap(1), vec![7]);
+        let replicas: Vec<usize> = db.replicas_of(&snap(1)).collect();
         assert_eq!(replicas.len(), 2);
         for &r in &replicas {
             db.set_shard_down(r, true);
         }
-        assert!(db.read_outcome("k").is_err());
-        assert_eq!(db.get("k"), None);
+        assert!(db.fetch_outcome(&snap(1)).is_err());
+        assert_eq!(db.fetch(&snap(1)), None);
     }
 
     #[test]
     fn recovery_repairs_missed_writes_last_writer_wins() {
         let db = TeDatabase::with_replication(4, 2);
-        db.set("k", vec![1]);
-        let primary = db.shard_of("k");
+        db.put(&snap(1), vec![1]);
+        let primary = db.shard_of(&snap(1));
         db.set_shard_down(primary, true);
         // Written while the primary is dark: lands on the replica only.
-        db.set("k", vec![2]);
+        db.put(&snap(1), vec![2]);
         db.set_shard_down(primary, false); // auto-repair
                                            // Take the replica down: the repaired primary must serve the
                                            // *newer* value, not its stale pre-outage copy.
-        let replicas: Vec<usize> = db.replicas_of("k").collect();
+        let replicas: Vec<usize> = db.replicas_of(&snap(1)).collect();
         db.set_shard_down(replicas[1], true);
         assert_eq!(
-            db.get("k"),
+            db.fetch(&snap(1)),
             Some(vec![2]),
             "repair must copy the newer write"
         );
@@ -1234,34 +1157,36 @@ mod tests {
     #[test]
     fn slow_shard_surfaces_injected_latency() {
         let db = TeDatabase::new(1);
-        db.set("k", vec![1]);
+        db.put(&snap(1), vec![1]);
         db.set_shard_slow(0, 5_000);
-        let out = db.read_outcome("k").unwrap();
+        let out = db.fetch_outcome(&snap(1)).unwrap();
         assert_eq!(out.injected_ns, 5_000);
         db.set_shard_slow(0, 0);
-        assert_eq!(db.read_outcome("k").unwrap().injected_ns, 0);
+        assert_eq!(db.fetch_outcome(&snap(1)).unwrap().injected_ns, 0);
     }
 
     #[test]
     fn lossy_shard_fails_reads_at_roughly_the_injected_rate() {
         let db = TeDatabase::new(1);
-        db.set("k", vec![1]);
+        db.put(&snap(1), vec![1]);
         db.set_fault_seed(42);
         db.set_shard_loss(0, 300_000); // 30%
-        let failures = (0..2000).filter(|_| db.read_outcome("k").is_err()).count();
+        let failures = (0..2000)
+            .filter(|_| db.fetch_outcome(&snap(1)).is_err())
+            .count();
         let rate = failures as f64 / 2000.0;
         assert!((rate - 0.3).abs() < 0.05, "loss rate {rate}");
         db.set_shard_loss(0, 0);
-        assert!(db.read_outcome("k").is_ok());
+        assert!(db.fetch_outcome(&snap(1)).is_ok());
     }
 
     #[test]
     fn corrupt_reads_flag_and_damage_the_value() {
         let db = TeDatabase::new(1);
-        db.set("k", vec![0xAA, 0xBB, 0xCC]);
+        db.put(&snap(1), vec![0xAA, 0xBB, 0xCC]);
         db.set_fault_seed(7);
         db.set_shard_corrupt(0, 1_000_000); // every read
-        let out = db.read_outcome("k").unwrap();
+        let out = db.fetch_outcome(&snap(1)).unwrap();
         assert!(out.corrupted);
         let damaged = out.value.unwrap();
         assert_eq!(damaged.len(), 3);
@@ -1273,19 +1198,19 @@ mod tests {
         assert_eq!(diff.count_ones(), 1, "exactly one flipped bit");
         // The stored value itself is intact.
         db.set_shard_corrupt(0, 0);
-        assert_eq!(db.get("k"), Some(vec![0xAA, 0xBB, 0xCC]));
+        assert_eq!(db.fetch(&snap(1)), Some(vec![0xAA, 0xBB, 0xCC]));
     }
 
     #[test]
     fn fault_rolls_replay_identically_per_seed() {
         let run = |seed: u64| {
             let db = TeDatabase::new(1);
-            db.set("k", vec![1, 2, 3, 4]);
+            db.put(&snap(1), vec![1, 2, 3, 4]);
             db.set_fault_seed(seed);
             db.set_shard_loss(0, 200_000);
             db.set_shard_corrupt(0, 200_000);
             (0..100)
-                .map(|_| match db.read_outcome("k") {
+                .map(|_| match db.fetch_outcome(&snap(1)) {
                     Err(_) => 0u8,
                     Ok(o) if o.corrupted => 1,
                     Ok(_) => 2,
@@ -1299,14 +1224,14 @@ mod tests {
     #[test]
     fn clear_faults_restores_health() {
         let db = TeDatabase::with_replication(3, 2);
-        db.set("k", vec![1]);
+        db.put(&snap(1), vec![1]);
         db.set_shard_down(0, true);
         db.set_shard_slow(1, 500);
         db.set_shard_loss(2, 1000);
         assert!(db.any_fault_active());
         db.clear_faults();
         assert!(!db.any_fault_active());
-        assert_eq!(db.get("k"), Some(vec![1]));
+        assert_eq!(db.fetch(&snap(1)), Some(vec![1]));
     }
 
     #[test]
@@ -1323,15 +1248,15 @@ mod tests {
     #[test]
     fn set_checked_reports_totally_lost_writes() {
         let db = TeDatabase::with_replication(2, 2);
-        assert!(db.set_checked("k", vec![1]).is_ok());
+        assert!(db.put_checked(&snap(1), vec![1]).is_ok());
         db.set_shard_down(0, true);
         assert!(
-            db.set_checked("k", vec![2]).is_ok(),
+            db.put_checked(&snap(1), vec![2]).is_ok(),
             "one replica is enough"
         );
         db.set_shard_down(1, true);
         assert!(
-            db.set_checked("k", vec![3]).is_err(),
+            db.put_checked(&snap(1), vec![3]).is_err(),
             "write lost everywhere"
         );
     }
@@ -1342,7 +1267,7 @@ mod tests {
         let rx = db.watch_versions();
         assert_eq!(db.watcher_count(), 1);
         for v in 1..=5u64 {
-            db.publish_config(v, &[("h".into(), vec![v as u8])]);
+            db.write_batch(0, v, vec![(1, vec![v as u8])], vec![]);
         }
         let got: Vec<u64> = rx.try_iter().collect();
         assert_eq!(got, vec![1, 2, 3, 4, 5]);
@@ -1356,7 +1281,7 @@ mod tests {
             let _rx2 = db.watch_versions();
             assert_eq!(db.watcher_count(), 2);
         } // rx2 dropped
-        db.publish_config(1, &[]);
+        db.publish_version(1);
         assert_eq!(db.watcher_count(), 1);
         assert_eq!(rx1.try_recv(), Ok(1));
     }
@@ -1367,20 +1292,20 @@ mod tests {
         // watcher learns of v, v's entries are in the store.
         let db = TeDatabase::new(2);
         let rx = db.watch_versions();
-        db.publish_config(9, &[("h".into(), vec![1, 2, 3])]);
+        db.write_batch(0, 9, vec![(1, vec![1, 2, 3])], vec![]);
         let v = rx.recv().unwrap();
-        assert_eq!(db.fetch_config(v, "h"), Some(vec![1, 2, 3]));
+        assert_eq!(db.fetch(&delta(1, v)), Some(vec![1, 2, 3]));
     }
 
     #[test]
     fn concurrent_clients_see_consistent_version() {
         let db = TeDatabase::new(2);
-        db.publish_config(1, &[("h".into(), vec![1])]);
+        db.write_batch(0, 1, vec![(1, vec![1])], vec![]);
         std::thread::scope(|s| {
             let writer = db.clone();
             s.spawn(move || {
                 for v in 2..50u64 {
-                    writer.publish_config(v, &[("h".into(), vec![v as u8])]);
+                    writer.write_batch(0, v, vec![(1, vec![v as u8])], vec![]);
                 }
             });
             let reader = db.clone();
@@ -1389,10 +1314,177 @@ mod tests {
                     if let Some(v) = reader.latest_version() {
                         // Write-then-publish: the entry for any observed
                         // version must exist.
-                        assert!(reader.fetch_config(v, "h").is_some(), "version {v}");
+                        assert!(reader.fetch(&delta(1, v)).is_some(), "version {v}");
                     }
                 }
             });
         });
+    }
+
+    /// One interval through the one-entry calls, the way the controller
+    /// published before it had a batch: returns what failed.
+    fn publish_one_by_one(
+        db: &TeDatabase,
+        version: u64,
+        deltas: Vec<(u64, Vec<u8>)>,
+        snapshots: Vec<(u64, Vec<u8>)>,
+    ) -> BatchOutcome {
+        let mut out = BatchOutcome::default();
+        for (ep, bytes) in deltas {
+            let delta_ok = db.put_checked(&delta(ep, version), bytes).is_ok();
+            let log_ok = db.record_change(ep, version).is_ok();
+            if !(delta_ok && log_ok) {
+                out.failed_deltas.push(ep);
+            }
+        }
+        for (ep, value) in snapshots {
+            if db.put_checked(&snap(ep), value).is_err() {
+                out.failed_snapshots.push(ep);
+            }
+        }
+        db.publish_partition_version(0, version);
+        out
+    }
+
+    mod batch {
+        use super::*;
+        use proptest::collection::vec;
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(64))]
+
+            #[test]
+            fn write_batch_matches_one_entry_writes_under_outages(
+                shards in 1usize..6,
+                replication in 1usize..4,
+                intervals in vec(
+                    (0u32..64, vec((0u64..40, 0usize..9), 0..30), vec(0u64..40, 0..20)),
+                    1..5,
+                ),
+            ) {
+                let batched = TeDatabase::with_replication(shards, replication);
+                let single = TeDatabase::with_replication(shards, replication);
+                for (i, (down, deltas, snapshots)) in intervals.into_iter().enumerate() {
+                    let version = i as u64 + 1;
+                    for db in [&batched, &single] {
+                        for s in 0..shards {
+                            db.set_shard_down(s, down & (1 << s) != 0);
+                        }
+                    }
+                    let deltas: Vec<(u64, Vec<u8>)> = deltas
+                        .into_iter()
+                        .map(|(ep, len)| (ep, vec![version as u8; len]))
+                        .collect();
+                    let snapshots: Vec<(u64, Vec<u8>)> = snapshots
+                        .into_iter()
+                        .map(|ep| (ep, [version.to_be_bytes().as_slice(), &[ep as u8]].concat()))
+                        .collect();
+                    let a = batched.write_batch(0, version, deltas.clone(), snapshots.clone());
+                    let b = publish_one_by_one(&single, version, deltas, snapshots);
+                    prop_assert_eq!(a, b);
+                }
+                for s in 0..shards {
+                    prop_assert_eq!(batched.shard_contents(s), single.shard_contents(s));
+                }
+                prop_assert_eq!(batched.per_shard_queries(), single.per_shard_queries());
+                prop_assert_eq!(batched.per_shard_bytes(), single.per_shard_bytes());
+            }
+        }
+
+        #[test]
+        fn large_batches_match_one_entry_writes() {
+            // Big enough to write its shards on several threads.
+            let batched = TeDatabase::with_replication(5, 2);
+            let single = TeDatabase::with_replication(5, 2);
+            for (version, dark) in [(1u64, [0usize, 1]), (2, [3, 4])] {
+                for db in [&batched, &single] {
+                    db.clear_faults();
+                    for s in dark {
+                        db.set_shard_down(s, true);
+                    }
+                }
+                let deltas: Vec<_> = (0..3_000).map(|ep| (ep, vec![version as u8; 9])).collect();
+                let snapshots: Vec<_> = (0..3_000).step_by(2).map(|ep| (ep, vec![7; 12])).collect();
+                let a = batched.write_batch(0, version, deltas.clone(), snapshots.clone());
+                let b = publish_one_by_one(&single, version, deltas, snapshots);
+                assert!(!a.failed_deltas.is_empty());
+                assert_eq!(a, b);
+            }
+            for s in 0..5 {
+                assert_eq!(
+                    batched.shard_contents(s),
+                    single.shard_contents(s),
+                    "shard {s}"
+                );
+            }
+            assert_eq!(batched.per_shard_queries(), single.per_shard_queries());
+        }
+
+        #[test]
+        fn a_batch_takes_each_shard_lock_once() {
+            let db = TeDatabase::with_replication(8, 2);
+            let before = db.write_locks();
+            db.put(&snap(1), vec![1]);
+            assert_eq!(db.write_locks() - before, 2, "one lock per replica");
+
+            let deltas = (0..100_000).map(|ep| (ep, vec![1; 24])).collect();
+            let snapshots = (0..100_000).map(|ep| (ep, vec![2; 40])).collect();
+            let before = db.write_locks();
+            let out = db.write_batch(0, 1, deltas, snapshots);
+            assert_eq!(out, BatchOutcome::default());
+            let taken = db.write_locks() - before;
+            // Each shard once for the entries, then the version record's
+            // two replicas.
+            assert!(taken <= 8 + 2, "{taken} write-lock acquisitions");
+        }
+
+        #[test]
+        fn readers_never_see_a_version_before_its_listed_deltas() {
+            // Agents POLL (version, then changelog) and then read the
+            // listed deltas while a 100k-endpoint batch publishes; a
+            // version must never be visible before the deltas it lists.
+            const ENDPOINTS: u64 = 100_000;
+            const VERSIONS: u64 = 2;
+            let db = TeDatabase::with_replication(4, 2);
+            let published = AtomicBool::new(false);
+            let checked = AtomicU64::new(0);
+            std::thread::scope(|scope| {
+                for reader in 0..2u64 {
+                    let (db, published, checked) = (&db, &published, &checked);
+                    scope.spawn(move || {
+                        let mut ep = reader;
+                        loop {
+                            let last_pass = published.load(Ordering::Acquire);
+                            ep = (ep * 48_271 + 11) % ENDPOINTS;
+                            if let Some(v) = db.latest_version() {
+                                let log = db.changelog(ep).expect("a published endpoint has a log");
+                                for &x in log.versions.iter().filter(|&&x| x <= v) {
+                                    assert!(
+                                        db.fetch(&delta(ep, x)).is_some(),
+                                        "version {v} visible before endpoint {ep}'s delta {x}"
+                                    );
+                                    checked.fetch_add(1, Ordering::Relaxed);
+                                }
+                            }
+                            if last_pass {
+                                break;
+                            }
+                        }
+                    });
+                }
+                for version in 1..=VERSIONS {
+                    let deltas = (0..ENDPOINTS)
+                        .map(|ep| (ep, vec![version as u8; 16]))
+                        .collect();
+                    db.write_batch(0, version, deltas, Vec::new());
+                }
+                published.store(true, Ordering::Release);
+            });
+            assert!(
+                checked.load(Ordering::Relaxed) > 0,
+                "readers checked listed deltas"
+            );
+        }
     }
 }

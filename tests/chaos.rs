@@ -229,9 +229,7 @@ fn stale_agents_degrade_to_ecmp_and_recover() {
 
     // Kill the shard that does NOT hold the version record, so the
     // fleet keeps seeing new versions it cannot fully fetch.
-    let version_shard = sys
-        .database()
-        .shard_of(&TeKey::Version { partition: 0 }.wire());
+    let version_shard = sys.database().shard_of(&TeKey::Version { partition: 0 });
     let victim = 1 - version_shard;
     sys.database().set_shard_down(victim, true);
 

@@ -148,7 +148,8 @@ fn hybrid_push_channel_delivers_while_tail_polls() {
     // version immediately; the poller learns it on its next poll.
     let db = TeDatabase::new(2);
     let watcher = db.watch_versions();
-    db.publish_config(1, &[("ep:heavy".into(), vec![1])]);
+    db.put(&TeKey::Snapshot { endpoint: 1 }, vec![1]);
+    db.publish_version(1);
     assert_eq!(watcher.try_recv(), Ok(1), "push delivers immediately");
     // The poller's cheap version check also sees it (eventually).
     assert_eq!(db.latest_version(), Some(1));

@@ -338,9 +338,7 @@ fn shard_outage_and_controller_crash_in_the_same_tick() {
 
     // Both at once: the shard holding partition 1's version record goes
     // dark and partition 1's controller dies.
-    let victim = sys
-        .database()
-        .shard_of(&TeKey::Version { partition: 1 }.wire());
+    let victim = sys.database().shard_of(&TeKey::Version { partition: 1 });
     sys.database().set_shard_down(victim, true);
     sys.cluster_mut().unwrap().crash(1);
     assert!(
