@@ -29,6 +29,7 @@ use crate::frame::{
 use crate::io::{AsyncStream, Endpoint};
 use parking_lot::Mutex;
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::task::{Poll, Waker};
@@ -125,7 +126,31 @@ impl Outbox {
     }
 }
 
-type Pending = Mutex<HashMap<u64, Oneshot<Result<Response, FrameError>>>>;
+/// Hashes a request id with one multiply. Ids are sequential, so the
+/// product spreads them over the table; SipHash's keyed mixing buys
+/// nothing: only this client inserts keys, and it picks them itself (an
+/// id a response carries is only looked up).
+#[derive(Default)]
+struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(b as u64);
+        }
+    }
+
+    fn write_u64(&mut self, id: u64) {
+        self.0 = (self.0 ^ id).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+type Pending =
+    Mutex<HashMap<u64, Oneshot<Result<Response, FrameError>>, BuildHasherDefault<IdHasher>>>;
 
 /// One live connection: stream + in-flight table + outbox.
 struct Conn {
@@ -292,7 +317,7 @@ impl NetClient {
         let conn = Arc::new(Conn {
             stream: stream.clone(),
             outbox: Outbox::default(),
-            pending: Mutex::new(HashMap::new()),
+            pending: Mutex::default(),
             broken: AtomicBool::new(false),
         });
 

@@ -36,6 +36,9 @@ struct Inner {
     queue: Mutex<RunQueue>,
     cv: Condvar,
     live: AtomicUsize,
+    /// [`Executor`] handles alive. Workers hold `Inner` too, so this,
+    /// not the `Arc`'s count, says when the pool is unreachable.
+    handles: AtomicUsize,
 }
 
 #[derive(Default)]
@@ -45,12 +48,36 @@ struct RunQueue {
     /// lock, so a push either sees the worker it must wake or happens
     /// before that worker's emptiness check.
     parked: usize,
+    /// Set under the lock when the last handle drops; workers exit.
+    shutdown: bool,
 }
 
-/// Handle to the executor; clones share the worker pool.
-#[derive(Clone)]
+/// Handle to the executor; clones share the worker pool. When the last
+/// handle drops, the workers finish the poll they are in and exit.
 pub struct Executor {
     inner: Arc<Inner>,
+}
+
+impl Clone for Executor {
+    fn clone(&self) -> Self {
+        self.inner.handles.fetch_add(1, Ordering::Relaxed);
+        Self {
+            inner: self.inner.clone(),
+        }
+    }
+}
+
+impl Drop for Executor {
+    fn drop(&mut self) {
+        if self.inner.handles.fetch_sub(1, Ordering::AcqRel) == 1 {
+            // Setting one flag leaves the queue valid even if a panic
+            // poisoned its lock.
+            let mut q = self.inner.queue.lock().unwrap_or_else(|e| e.into_inner());
+            q.shutdown = true;
+            drop(q);
+            self.inner.cv.notify_all();
+        }
+    }
 }
 
 impl Task {
@@ -130,12 +157,13 @@ impl Executor {
             queue: Mutex::new(RunQueue::default()),
             cv: Condvar::new(),
             live: AtomicUsize::new(0),
+            handles: AtomicUsize::new(1),
         });
         for i in 0..workers.max(1) {
-            let weak = Arc::downgrade(&inner);
+            let inner = inner.clone();
             std::thread::Builder::new()
                 .name(format!("megate-net-worker-{i}"))
-                .spawn(move || worker_loop(&weak))
+                .spawn(move || worker_loop(&inner))
                 .expect("spawn executor worker");
         }
         Self { inner }
@@ -188,15 +216,19 @@ impl Executor {
     }
 }
 
-/// Workers hold only a [`Weak`] reference, so the pool winds down
-/// (within one poll interval) once the last [`Executor`] handle drops.
-fn worker_loop(weak: &Weak<Inner>) {
+/// Pops and polls tasks until the last [`Executor`] handle drops: that
+/// drop sets the queue's `shutdown` flag and wakes every parked worker,
+/// so the pool winds down at once, each worker after the poll it is in.
+/// The last worker out drops `Inner` and the tasks still queued. (A
+/// worker never keeps `Inner` alive for another: the handle count, not
+/// the `Arc`, decides.)
+fn worker_loop(inner: &Inner) {
     loop {
-        // Upgrade per iteration: an executor with no handles left must
-        // let its Inner drop so the wind-down is observable.
-        let Some(inner) = weak.upgrade() else { return };
         let task = {
             let mut q = inner.queue.lock().unwrap();
+            if q.shutdown {
+                return;
+            }
             if q.tasks.is_empty() {
                 q.parked += 1;
                 q = inner

@@ -28,7 +28,7 @@ use crate::frame::{
 };
 use crate::io::{AsyncListener, AsyncStream, Endpoint};
 use crate::reactor::Sleep;
-use megate_obs::{Counter, Lazy};
+use megate_obs::{Counter, Lazy, StripedU64};
 use megate_tedb::{ReadOutcome, ShardOutage, TeDatabase, TeKey};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -73,6 +73,13 @@ impl Default for TransportFaults {
     }
 }
 
+impl TransportFaults {
+    /// Whether any fault has a nonzero rate.
+    fn injects(&self) -> bool {
+        self.reset_ppm != 0 || self.truncate_ppm != 0 || self.stall_ppm != 0
+    }
+}
+
 fn splitmix64(x: u64) -> u64 {
     let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -91,13 +98,17 @@ enum FaultRoll {
 pub struct ServerState {
     db: TeDatabase,
     faults: parking_lot::RwLock<TransportFaults>,
+    /// Whether `faults` injects anything: a response reads this flag,
+    /// not the lock, while transport faults are off.
+    faults_on: AtomicBool,
     fault_seq: AtomicU64,
     shutdown: AtomicBool,
     accepted: AtomicU64,
     active: AtomicU64,
-    bytes_out: AtomicU64,
-    bytes_in: AtomicU64,
-    requests: AtomicU64,
+    // Every request writes these, from every worker: striped per thread.
+    bytes_out: StripedU64,
+    bytes_in: StripedU64,
+    requests: StripedU64,
 }
 
 impl ServerState {
@@ -106,13 +117,14 @@ impl ServerState {
         Arc::new(Self {
             db,
             faults: parking_lot::RwLock::new(TransportFaults::default()),
+            faults_on: AtomicBool::new(false),
             fault_seq: AtomicU64::new(0),
             shutdown: AtomicBool::new(false),
             accepted: AtomicU64::new(0),
             active: AtomicU64::new(0),
-            bytes_out: AtomicU64::new(0),
-            bytes_in: AtomicU64::new(0),
-            requests: AtomicU64::new(0),
+            bytes_out: StripedU64::new(),
+            bytes_in: StripedU64::new(),
+            requests: StripedU64::new(),
         })
     }
 
@@ -124,7 +136,9 @@ impl ServerState {
 
     /// Replaces the transport fault configuration.
     pub fn set_transport_faults(&self, f: TransportFaults) {
-        *self.faults.write() = f;
+        let mut faults = self.faults.write();
+        *faults = f;
+        self.faults_on.store(faults.injects(), Ordering::Release);
     }
 
     /// Asks accept loops and connection tasks to wind down.
@@ -149,24 +163,29 @@ impl ServerState {
 
     /// Total response bytes written (controller-side fan-out bytes).
     pub fn bytes_out(&self) -> u64 {
-        self.bytes_out.load(Ordering::Relaxed)
+        self.bytes_out.get()
     }
 
     /// Total request bytes read.
     pub fn bytes_in(&self) -> u64 {
-        self.bytes_in.load(Ordering::Relaxed)
+        self.bytes_in.get()
     }
 
     /// Requests this server decoded and dispatched. Unlike the
     /// process-wide `net.requests` counter it counts this instance
     /// only, so servers sharing a process do not see each other's.
     pub fn requests(&self) -> u64 {
-        self.requests.load(Ordering::Relaxed)
+        self.requests.get()
     }
 
+    /// The transport fault for the next response. The roll sequence
+    /// advances only while faults are configured.
     fn roll_fault(&self) -> FaultRoll {
+        if !self.faults_on.load(Ordering::Acquire) {
+            return FaultRoll::None;
+        }
         let f = self.faults.read();
-        if f.reset_ppm == 0 && f.truncate_ppm == 0 && f.stall_ppm == 0 {
+        if !f.injects() {
             return FaultRoll::None;
         }
         let seq = self.fault_seq.fetch_add(1, Ordering::Relaxed);
@@ -404,13 +423,11 @@ async fn serve_conn(state: &Arc<ServerState>, conn: AsyncStream) {
                 return;
             }
         };
-        state
-            .bytes_in
-            .fetch_add((frame::HEADER_LEN + body.len()) as u64, Ordering::Relaxed);
+        state.bytes_in.add((frame::HEADER_LEN + body.len()) as u64);
         let (resp, corrupt) = match Request::decode(hdr.op, body) {
             Some(req) => {
                 REQUESTS.inc();
-                state.requests.fetch_add(1, Ordering::Relaxed);
+                state.requests.add(1);
                 let (resp, corrupt, injected_ns) = dispatch(&state.db, &req);
                 if injected_ns > 0 {
                     // Injected shard latency becomes real service time
@@ -470,7 +487,7 @@ impl Outbound<'_> {
         let len = (self.batch.len() - at) as u64;
         match fault {
             FaultRoll::None => {
-                self.state.bytes_out.fetch_add(len, Ordering::Relaxed);
+                self.state.bytes_out.add(len);
                 FANOUT_BYTES.add(len);
                 if self.batch.len() >= FLUSH_CAP {
                     self.flush().await?;
@@ -498,7 +515,7 @@ impl Outbound<'_> {
                     Sleep::after(delay).await;
                 }
                 self.batch.truncate(at);
-                self.state.bytes_out.fetch_add(len, Ordering::Relaxed);
+                self.state.bytes_out.add(len);
                 FANOUT_BYTES.add(len);
                 Ok(())
             }

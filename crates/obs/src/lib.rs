@@ -4,7 +4,8 @@
 //!
 //! * **Metrics** — sharded atomic [`Counter`]s, [`Gauge`]s, and
 //!   log2-bucketed [`Histogram`]s with lock-free record paths and
-//!   mergeable [`Snapshot`]s.
+//!   mergeable [`Snapshot`]s, plus the always-on per-thread
+//!   [`StripedU64`] that other crates embed for counts they read back.
 //! * **Spans** — `let _s = obs::span("lp.solve");` phase timers that
 //!   produce hierarchical per-phase runtime breakdowns ([`span`]).
 //! * **Exposition** — a named [`Registry`] rendering Prometheus text
@@ -48,7 +49,7 @@ mod span;
 
 pub use expose::{sanitize_name, write_bench_snapshot};
 pub use metrics::{
-    bucket_of, Counter, Gauge, Histogram, HistogramSnapshot, Snapshot, HIST_BUCKETS,
+    bucket_of, Counter, Gauge, Histogram, HistogramSnapshot, Snapshot, StripedU64, HIST_BUCKETS,
 };
 pub use registry::{global, Lazy, Registry};
 pub use span::{span, Span};

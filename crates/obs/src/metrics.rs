@@ -4,10 +4,14 @@
 //! Record paths are a relaxed atomic op behind an `enabled()` branch;
 //! no locks are taken, so kernel-path code (TC egress, ring buffer
 //! publish) and the LP pivot loop can record without contention.
+//! Counters and histograms write the calling thread's stripe, its own
+//! cache line(s), and reads sum the stripes, so two threads recording
+//! into one metric never write the same line (unless more threads than
+//! stripes share a slot, when they merely share it).
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering::Relaxed};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Number of histogram buckets: bucket 0 holds values {0, 1}; bucket
 /// `i >= 1` holds `[2^i, 2^(i+1))`; bucket 63 is open-ended.
@@ -41,15 +45,55 @@ fn shard_slot() -> usize {
 #[derive(Default)]
 struct PaddedU64(AtomicU64);
 
+/// An always-on `u64` sum striped per thread across cache lines: `add`
+/// is one relaxed `fetch_add` on the calling thread's stripe, `get`
+/// sums the stripes. Unlike [`Counter`] it ignores [`crate::enabled`],
+/// so it can carry counts the program itself reads (byte accounting,
+/// request totals), and it is a plain value to embed, not a handle.
 #[derive(Default)]
-pub(crate) struct CounterCore {
-    shards: [PaddedU64; COUNTER_SHARDS],
+pub struct StripedU64 {
+    stripes: [PaddedU64; COUNTER_SHARDS],
+}
+
+impl std::fmt::Debug for StripedU64 {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_tuple("StripedU64").field(&self.get()).finish()
+    }
+}
+
+impl StripedU64 {
+    /// A zero sum.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Adds `n` to this thread's stripe (wrapping, like `fetch_add`).
+    #[inline]
+    pub fn add(&self, n: u64) {
+        self.stripes[shard_slot()].0.fetch_add(n, Relaxed);
+    }
+
+    /// The sum over the stripes. Relaxed: concurrent adds may or may not
+    /// be visible, but once writers are quiet it is exact.
+    pub fn get(&self) -> u64 {
+        self.stripes
+            .iter()
+            .fold(0u64, |acc, s| acc.wrapping_add(s.0.load(Relaxed)))
+    }
+
+    /// Sets every stripe to zero (between measurement windows; adds
+    /// racing the reset may survive it).
+    pub fn reset(&self) {
+        for s in &self.stripes {
+            s.0.store(0, Relaxed);
+        }
+    }
 }
 
 /// A monotonically increasing, cache-line-sharded counter handle.
 /// Cloning is cheap (`Arc`); all clones observe the same total.
 #[derive(Clone, Default)]
-pub struct Counter(Arc<CounterCore>);
+pub struct Counter(Arc<StripedU64>);
 
 impl std::fmt::Debug for Counter {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -75,13 +119,13 @@ impl Counter {
         if !crate::enabled() {
             return;
         }
-        self.0.shards[shard_slot()].0.fetch_add(n, Relaxed);
+        self.0.add(n);
     }
 
     /// Sum across shards. Relaxed: concurrent adds may or may not be
     /// visible, but the value is always a valid past total.
     pub fn get(&self) -> u64 {
-        self.0.shards.iter().map(|s| s.0.load(Relaxed)).sum()
+        self.0.get()
     }
 }
 
@@ -136,13 +180,15 @@ impl Gauge {
     }
 }
 
-pub(crate) struct HistogramCore {
+/// One thread slot's share of a histogram, on cache lines of its own.
+#[repr(align(64))]
+struct HistStripe {
     buckets: [AtomicU64; HIST_BUCKETS],
     sum: AtomicU64,
     count: AtomicU64,
 }
 
-impl Default for HistogramCore {
+impl Default for HistStripe {
     fn default() -> Self {
         Self {
             buckets: std::array::from_fn(|_| AtomicU64::new(0)),
@@ -152,17 +198,25 @@ impl Default for HistogramCore {
     }
 }
 
+/// A histogram's stripes, allocated on a slot's first record, so a
+/// histogram only one thread writes costs one stripe.
+#[derive(Default)]
+pub(crate) struct HistogramCore {
+    stripes: [OnceLock<Box<HistStripe>>; COUNTER_SHARDS],
+}
+
 /// A log2-bucketed histogram handle. `record` is three relaxed atomic
-/// adds; snapshots of concurrently-written histograms are internally
-/// consistent per field (never torn within one atomic).
+/// adds on the calling thread's stripe; snapshots merge the stripes and
+/// are internally consistent per field (never torn within one atomic).
 #[derive(Clone, Default)]
 pub struct Histogram(Arc<HistogramCore>);
 
 impl std::fmt::Debug for Histogram {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let s = self.snapshot();
         f.debug_struct("Histogram")
-            .field("count", &self.0.count.load(Relaxed))
-            .field("sum", &self.0.sum.load(Relaxed))
+            .field("count", &s.count)
+            .field("sum", &s.sum)
             .finish()
     }
 }
@@ -179,9 +233,10 @@ impl Histogram {
         if !crate::enabled() {
             return;
         }
-        self.0.buckets[bucket_of(v)].fetch_add(1, Relaxed);
-        self.0.sum.fetch_add(v, Relaxed);
-        self.0.count.fetch_add(1, Relaxed);
+        let s = self.0.stripes[shard_slot()].get_or_init(Box::default);
+        s.buckets[bucket_of(v)].fetch_add(1, Relaxed);
+        s.sum.fetch_add(v, Relaxed);
+        s.count.fetch_add(1, Relaxed);
     }
 
     /// Record nanoseconds elapsed since `start` (from [`crate::start`]);
@@ -193,13 +248,18 @@ impl Histogram {
         }
     }
 
-    /// A point-in-time copy of the buckets, sum, and count.
+    /// A point-in-time copy of the buckets, sum, and count: the
+    /// stripes merged.
     pub fn snapshot(&self) -> HistogramSnapshot {
-        HistogramSnapshot {
-            count: self.0.count.load(Relaxed),
-            sum: self.0.sum.load(Relaxed),
-            buckets: std::array::from_fn(|i| self.0.buckets[i].load(Relaxed)),
+        let mut out = HistogramSnapshot::default();
+        for s in self.0.stripes.iter().filter_map(OnceLock::get) {
+            out.merge(&HistogramSnapshot {
+                count: s.count.load(Relaxed),
+                sum: s.sum.load(Relaxed),
+                buckets: std::array::from_fn(|i| s.buckets[i].load(Relaxed)),
+            });
         }
+        out
     }
 }
 

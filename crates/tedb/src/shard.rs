@@ -8,6 +8,7 @@
 //! write lock taken once for the lot.
 
 use crate::keyspace::{Changelog, KeyMap, TeKey};
+use megate_obs::StripedU64;
 use parking_lot::RwLock;
 use std::ops::DerefMut;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
@@ -87,10 +88,27 @@ impl Op {
 #[derive(Debug, Default)]
 pub(crate) struct Shard {
     data: RwLock<KeyMap<Stored>>,
-    pub(crate) queries: AtomicU64,
+    /// Queries served. Striped per thread: every read charges it, from
+    /// every serving thread.
+    pub(crate) queries: StripedU64,
     /// Bytes moved over this shard's wire: keys both ways, values on
     /// SET (request) and on GET hits (response).
-    pub(crate) bytes: AtomicU64,
+    pub(crate) bytes: StripedU64,
+    /// What every read consults and almost nothing writes, on a cache
+    /// line of its own rather than beside the lock word every read
+    /// writes.
+    pub(crate) knobs: Knobs,
+    /// Position in the shard's deterministic fault-roll stream.
+    fault_ops: AtomicU64,
+    /// Write-lock acquisitions: the work count that says a batch took
+    /// each shard's lock once, not once per key.
+    write_locks: AtomicU64,
+}
+
+/// A shard's fault knobs and its latency histogram handle.
+#[derive(Debug, Default)]
+#[repr(align(64))]
+pub(crate) struct Knobs {
     /// Failure injection: a down shard answers nothing (GET -> None,
     /// SET dropped) — what a client sees during a shard outage.
     pub(crate) down: AtomicBool,
@@ -102,28 +120,26 @@ pub(crate) struct Shard {
     /// Probability (ppm) that a read returns a value with one flipped
     /// bit.
     pub(crate) corrupt_ppm: AtomicU32,
-    /// Position in the shard's deterministic fault-roll stream.
-    fault_ops: AtomicU64,
     /// Per-shard query service time, exported as
     /// `tedb.shard<i>.query_ns` (all databases in the process sharing
     /// a shard index aggregate into the same histogram). A batch
     /// records one sample per shard.
     pub(crate) latency: megate_obs::Histogram,
-    /// Write-lock acquisitions: the work count that says a batch took
-    /// each shard's lock once, not once per key.
-    write_locks: AtomicU64,
 }
 
 impl Shard {
     pub(crate) fn new(latency: megate_obs::Histogram) -> Self {
         Self {
-            latency,
+            knobs: Knobs {
+                latency,
+                ..Knobs::default()
+            },
             ..Self::default()
         }
     }
 
     pub(crate) fn is_down(&self) -> bool {
-        self.down.load(Ordering::Relaxed)
+        self.knobs.down.load(Ordering::Relaxed)
     }
 
     /// One deterministic fault roll in `[0, 1_000_000)`.
@@ -159,8 +175,8 @@ impl Shard {
     /// crossed the wire). Returns the bytes.
     pub(crate) fn charge(&self, ops: &[Op], list: &[u32]) -> u64 {
         let bytes = list.iter().map(|&i| ops[i as usize].request_bytes()).sum();
-        self.queries.fetch_add(list.len() as u64, Ordering::Relaxed);
-        self.bytes.fetch_add(bytes, Ordering::Relaxed);
+        self.queries.add(list.len() as u64);
+        self.bytes.add(bytes);
         bytes
     }
 

@@ -311,7 +311,7 @@ impl TeDatabase {
         let run = |s: usize, map: &mut KeyMap<Stored>| {
             let t = megate_obs::start();
             let pruned = shard::apply(map, ops, list(s), seq0, landed_ref);
-            shards[s].latency.record_elapsed(t);
+            shards[s].knobs.latency.record_elapsed(t);
             pruned
         };
         let workers = if ops.len() >= PARALLEL_WRITES {
@@ -479,20 +479,20 @@ impl TeDatabase {
         let mut injected_ns = 0u64;
         for (attempt, shard_idx) in self.replicas_of(key).enumerate() {
             let s = &self.shards[shard_idx];
-            s.queries.fetch_add(1, Ordering::Relaxed);
-            injected_ns = injected_ns.saturating_add(s.slow_ns.load(Ordering::Relaxed));
-            let loss = s.loss_ppm.load(Ordering::Relaxed);
+            s.queries.add(1);
+            injected_ns = injected_ns.saturating_add(s.knobs.slow_ns.load(Ordering::Relaxed));
+            let loss = s.knobs.loss_ppm.load(Ordering::Relaxed);
             // A downed shard, or a transient connection drop —
             // indistinguishable from a brief outage to the client. The
             // key still crossed the wire.
             if s.is_down() || (loss > 0 && s.roll(seed, shard_idx) < loss as u64) {
-                s.bytes.fetch_add(key_len, Ordering::Relaxed);
+                s.bytes.add(key_len);
                 self.add_wire_bytes(key_len);
                 continue;
             }
             let mut hit = s.get(key);
             let mut corrupted = false;
-            let corrupt = s.corrupt_ppm.load(Ordering::Relaxed);
+            let corrupt = s.knobs.corrupt_ppm.load(Ordering::Relaxed);
             if corrupt > 0 && s.roll(seed, shard_idx) < corrupt as u64 {
                 if let Some(v) = hit.as_mut() {
                     if !v.is_empty() {
@@ -504,9 +504,9 @@ impl TeDatabase {
                 }
             }
             let moved = key_len + hit.as_ref().map_or(0, Vec::len) as u64;
-            s.bytes.fetch_add(moved, Ordering::Relaxed);
+            s.bytes.add(moved);
             self.add_wire_bytes(moved);
-            s.latency.record_elapsed(t);
+            s.knobs.latency.record_elapsed(t);
             if attempt > 0 {
                 self.failover_reads.inc();
             }
@@ -625,7 +625,7 @@ impl TeDatabase {
     /// last-writer-wins [`repair_shard`](Self::repair_shard) pass so
     /// the shard catches up on writes it missed.
     pub fn set_shard_down(&self, shard: usize, down: bool) {
-        let was_down = self.shards[shard].down.swap(down, Ordering::Relaxed);
+        let was_down = self.shards[shard].knobs.down.swap(down, Ordering::Relaxed);
         if was_down && !down && self.replication > 1 {
             self.repair_shard(shard);
         }
@@ -639,13 +639,17 @@ impl TeDatabase {
     /// Injects `ns` of service latency into every query the shard
     /// answers (0 restores full speed).
     pub fn set_shard_slow(&self, shard: usize, ns: u64) {
-        self.shards[shard].slow_ns.store(ns, Ordering::Relaxed);
+        self.shards[shard]
+            .knobs
+            .slow_ns
+            .store(ns, Ordering::Relaxed);
     }
 
     /// Makes `ppm` out of every million reads on the shard fail
     /// transiently (0 restores reliability).
     pub fn set_shard_loss(&self, shard: usize, ppm: u32) {
         self.shards[shard]
+            .knobs
             .loss_ppm
             .store(ppm.min(1_000_000), Ordering::Relaxed);
     }
@@ -654,6 +658,7 @@ impl TeDatabase {
     /// value with one flipped bit (0 restores integrity).
     pub fn set_shard_corrupt(&self, shard: usize, ppm: u32) {
         self.shards[shard]
+            .knobs
             .corrupt_ppm
             .store(ppm.min(1_000_000), Ordering::Relaxed);
     }
@@ -680,9 +685,9 @@ impl TeDatabase {
     pub fn any_fault_active(&self) -> bool {
         self.shards.iter().any(|s| {
             s.is_down()
-                || s.slow_ns.load(Ordering::Relaxed) > 0
-                || s.loss_ppm.load(Ordering::Relaxed) > 0
-                || s.corrupt_ppm.load(Ordering::Relaxed) > 0
+                || s.knobs.slow_ns.load(Ordering::Relaxed) > 0
+                || s.knobs.loss_ppm.load(Ordering::Relaxed) > 0
+                || s.knobs.corrupt_ppm.load(Ordering::Relaxed) > 0
         })
     }
 
@@ -729,41 +734,29 @@ impl TeDatabase {
 
     /// Total queries served across shards.
     pub fn total_queries(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| s.queries.load(Ordering::Relaxed))
-            .sum()
+        self.shards.iter().map(|s| s.queries.get()).sum()
     }
 
     /// Per-shard query counts.
     pub fn per_shard_queries(&self) -> Vec<u64> {
-        self.shards
-            .iter()
-            .map(|s| s.queries.load(Ordering::Relaxed))
-            .collect()
+        self.shards.iter().map(|s| s.queries.get()).collect()
     }
 
     /// Total bytes moved across all shards (keys + values).
     pub fn total_bytes(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| s.bytes.load(Ordering::Relaxed))
-            .sum()
+        self.shards.iter().map(|s| s.bytes.get()).sum()
     }
 
     /// Per-shard byte counts.
     pub fn per_shard_bytes(&self) -> Vec<u64> {
-        self.shards
-            .iter()
-            .map(|s| s.bytes.load(Ordering::Relaxed))
-            .collect()
+        self.shards.iter().map(|s| s.bytes.get()).collect()
     }
 
     /// Resets query and byte counters (between measurement windows).
     pub fn reset_query_counters(&self) {
         for s in self.shards.iter() {
-            s.queries.store(0, Ordering::Relaxed);
-            s.bytes.store(0, Ordering::Relaxed);
+            s.queries.reset();
+            s.bytes.reset();
         }
     }
 
